@@ -222,7 +222,6 @@ def _serve(args) -> int:
             max_connections=args.max_connections,
             inspector_mode=args.inspector_mode,
             workers=args.workers,
-            scheduler=args.scheduler,
         )
         fleet.start()
         endpoints = fleet.start_tcp(args.host)
@@ -257,7 +256,6 @@ def _serve(args) -> int:
         policies,
         inspector_mode=args.inspector_mode,
         workers=args.workers,
-        shared_memory=not args.no_shared_memory,
         pool_size=args.pool_size,
         rsa_bits=args.rsa_bits,
         heap_pages=64,
@@ -267,7 +265,6 @@ def _serve(args) -> int:
         max_connections=args.max_connections,
         retries=args.retries,
         quarantine_threshold=args.quarantine_threshold,
-        scheduler=args.scheduler,
     )
     host, port = daemon.start_tcp(args.host, args.port)
     print(json.dumps(daemon.announce()), flush=True)
@@ -449,22 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     batch_group.add_argument(
         "--mode", default="process",
-        choices=["process", "thread", "serial"],
+        choices=["process", "serial"],
         help="execution backend for the batch",
-    )
-    batch_group.add_argument(
-        "--no-shared-memory", action="store_true",
-        help="process mode only: use the legacy pickling executor "
-             "instead of the zero-copy shared-memory arena",
-    )
-    batch_group.add_argument(
-        "--scheduler", default="per-item",
-        choices=["per-item", "adaptive"],
-        help="dispatch granularity: 'per-item' submits one future per "
-             "unique binary (the frozen oracle); 'adaptive' inlines "
-             "tiny binaries, micro-batches small ones, and extent-"
-             "splits huge ones (REPRO_SCHED_* env knobs tune the "
-             "thresholds); also honored by 'serve'",
     )
     batch_group.add_argument(
         "--repeats", type=_positive_int, default=2,
@@ -549,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_group.add_argument(
         "--inspector-mode", default="serial",
-        choices=["serial", "process", "thread"],
+        choices=["serial", "process"],
         help="daemon inspector backend: 'serial' funnels through one "
              "warm EnGarde; 'process' fans concurrent submissions over "
              "the zero-copy shared-memory executor",
@@ -600,10 +583,8 @@ def main(argv: list[str] | None = None) -> int:
             scale=args.scale,
             workers=args.workers,
             mode=args.mode,
-            shared_memory=not args.no_shared_memory,
             repeats=args.repeats,
             timeout=args.timeout,
-            scheduler=args.scheduler,
         )
         payload = report.to_json()
         print(payload)

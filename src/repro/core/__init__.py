@@ -12,14 +12,6 @@ from .engarde import (
     InspectionOutcome,
     static_text_pages,
 )
-from .extent import (
-    ExtentPlan,
-    ExtentScan,
-    ExtentSplitOutcome,
-    inspect_extent_split,
-    plan_extent_split,
-    scan_extent,
-)
 from .funcid import RecognizedFunctions, recognize_functions
 from .loader import LoadedImage, Loader
 from .policies import IfccPolicy, LibraryLinkingPolicy, StackProtectionPolicy
@@ -58,6 +50,4 @@ __all__ = [
     "EnclaveExecutor", "ExecutionResult",
     "StackSmashDetected", "ClientAborted",
     "recognize_functions", "RecognizedFunctions",
-    "ExtentPlan", "ExtentScan", "ExtentSplitOutcome",
-    "plan_extent_split", "scan_extent", "inspect_extent_split",
 ]

@@ -31,7 +31,7 @@ from ...x86 import Imm, Instruction, Mem
 from ...x86.registers import Reg
 from ..policy import PolicyContext, PolicyModule, PolicyResult
 
-__all__ = ["IfccPolicy", "JUMP_TABLE_PREFIX", "walk_call_site"]
+__all__ = ["IfccPolicy", "JUMP_TABLE_PREFIX"]
 
 JUMP_TABLE_PREFIX = "__llvm_jump_instr_table_0_"
 _ENTRY_SIZE = 8
@@ -118,7 +118,7 @@ class IfccPolicy(PolicyModule):
         self, ctx: PolicyContext, idx: int, table_range: tuple[int, int]
     ) -> bool:
         """Walk backward over add/and/sub/lea verifying register dataflow."""
-        ok, steps = walk_call_site(
+        ok, steps = _walk_call_site(
             ctx.instructions, idx, table_range, self.backward_window
         )
         if steps:
@@ -126,7 +126,7 @@ class IfccPolicy(PolicyModule):
         return ok
 
 
-def walk_call_site(
+def _walk_call_site(
     instructions: list[Instruction],
     idx: int,
     table_range: tuple[int, int],
@@ -137,9 +137,7 @@ def walk_call_site(
     Returns ``(protected, steps)`` where *steps* is the number of
     backward comparisons the walk performed — the caller charges
     ``policy_compare`` with it (one charge per call site, whichever way
-    the walk exits).  Factored out of :meth:`IfccPolicy._check_call_site`
-    so the extent-split merge can re-run boundary-straddling walks over
-    a stitched window with provably identical semantics.
+    the walk exits).
     """
     call = instructions[idx]
     target = call.operands[0] if call.operands else None

@@ -197,19 +197,16 @@ def run_batch(
     scale: float | None = None,
     workers: int | None = None,
     mode: str = "process",
-    shared_memory: bool = True,
     repeats: int = 1,
     cache_capacity: int = 1024,
     timeout: float | None = None,
     policy_options: dict | None = None,
-    scheduler: str = "per-item",
 ):
     """Drive the batch inspection service over the paper workloads.
 
     Returns the :class:`repro.service.BatchReport`; ``repeats > 1``
     demonstrates the content-addressed cache (every pass after the first
-    is pure hits).  ``shared_memory=False`` forces the legacy pickling
-    executor (the zero-copy differential oracle).
+    is pure hits).
     """
     from ..service import BatchInspector
 
@@ -226,9 +223,7 @@ def run_batch(
         policies,
         workers=workers,
         mode=mode,
-        shared_memory=shared_memory,
         cache_capacity=cache_capacity,
         timeout=timeout,
-        scheduler=scheduler,
     ) as inspector:
         return inspector.inspect_batch(corpus)

@@ -48,7 +48,6 @@ from .daemon import ZERO_SHARD, InspectionDaemon
 from .fleet import ConsistentHashRing, FleetCoordinator, run_fleet_storm
 from .metrics import DaemonMetrics, LatencyHistogram
 from .pool import EnclavePool, PooledEnclave
-from .sched import SCHEDULERS, ZERO_SCHED, AdaptiveScheduler, DispatchPlan
 from .shm import ArenaTicket, SharedArena
 from .store import (
     ZERO_STORE,
@@ -69,5 +68,4 @@ __all__ = [
     "VerdictStore", "TieredCache", "TieredProvisioningVerdictCache",
     "ZERO_STORE",
     "FleetCoordinator", "ConsistentHashRing", "run_fleet_storm",
-    "AdaptiveScheduler", "DispatchPlan", "SCHEDULERS", "ZERO_SCHED",
 ]

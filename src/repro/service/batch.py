@@ -4,9 +4,9 @@ The paper inspects one client binary per provisioning run; a provider
 inspecting a fleet wants to amortize.  :class:`BatchInspector` keeps the
 inspection pipeline untouched and adds the service layer around it:
 
-* fan-out over ``concurrent.futures`` workers — a **process** pool by
-  default because disassembly and policy checking are CPU-bound pure
-  Python (threads only help in the degenerate all-cache-hit case),
+* fan-out over a **process** pool by default, because disassembly and
+  policy checking are CPU-bound pure Python, or ``serial`` inline
+  execution with no pool at all,
 * a content-addressed :class:`InspectionCache` consulted before any work
   is dispatched, plus in-flight deduplication so a batch containing the
   same bytes twice inspects them once,
@@ -42,25 +42,11 @@ objects: the wire form is cheap to pickle and guarantees the batch path
 can be compared byte-for-byte against the sequential baseline (the
 differential tests do exactly that).
 
-Process mode is **zero-copy by default** (``shared_memory=True``):
-binaries are published once into a :class:`~repro.service.shm.SharedArena`
-and workers attach memoryviews straight into the ELF reader and the
-resumable decoder — only a tiny ticket crosses the pickle boundary per
-task.  ``shared_memory=False`` keeps the original pickling submit path
-verbatim, frozen as the differential oracle for the zero-copy executor
-(see ``benchmarks/bench_slo.py``).
-
-Dispatch granularity is selectable (``scheduler=``): the default
-``"per-item"`` submits one future per unique miss — the historical
-shape, kept verbatim as the differential oracle — while ``"adaptive"``
-routes each miss through :class:`~repro.service.sched.AdaptiveScheduler`:
-tiny binaries run inline on the caller thread, small ones pack into
-micro-batched executor tasks (one future, a vector of per-binary
-tickets and report wires), and huge ones split along their
-function-extent table into parallel scans merged to a bit-identical
-verdict (:mod:`repro.core.extent`).  Either way every verdict crosses
-the same integrity guard, and ``BatchSummary.dispatch`` always carries
-the full :data:`~repro.service.sched.ZERO_SCHED` accounting schema.
+The process pool is **zero-copy**: each unique miss is published once
+into a :class:`~repro.service.shm.SharedArena` and workers attach
+memoryviews straight into the ELF reader and the resumable decoder —
+only a tiny ticket crosses the pickle boundary per task, one future per
+unique miss.
 """
 
 from __future__ import annotations
@@ -69,18 +55,15 @@ import json
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
 from dataclasses import dataclass, field, replace
 
 from ..core.engarde import EnGarde
-from ..core.extent import inspect_extent_split, scan_extent
 from ..core.policy import PolicyRegistry
 from ..core.report import ComplianceReport
 from ..errors import ArenaError, WorkerCrashError
@@ -88,24 +71,13 @@ from ..faults.clock import Clock, SystemClock
 from ..faults.hooks import DROP, fault_hook
 from . import shm
 from .cache import CacheKey, InspectionCache, cache_key
-from .sched import SCHEDULERS, ZERO_SCHED, AdaptiveScheduler
 
 __all__ = [
     "BatchInspector", "BatchItemResult", "BatchReport", "BatchSummary",
     "Quarantine", "default_workers",
 ]
 
-#: ``shared_memory=False`` submissions at or above this size pay two
-#: full pickle copies through the pool pipe; the batch warns once and
-#: estimates the penalty in ``BatchSummary.dispatch``
-PICKLE_WARN_BYTES = 1024 * 1024
-#: rough pool-pipe throughput used for that estimate (bytes/second)
-_PICKLE_BYTES_PER_SEC = 1e9
-
-MODES = ("process", "thread", "serial")
-
-#: returned by dispatch helpers when a broken pool demands degradation
-_DEGRADE = object()
+MODES = ("process", "serial")
 
 
 def default_workers() -> int:
@@ -140,12 +112,7 @@ def _init_worker(policies: PolicyRegistry) -> None:
     _WORKER_ENGARDE = EnGarde(policies)
 
 
-def _pool_inspect(raw_elf: bytes) -> bytes:
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return _WORKER_ENGARDE.inspect(raw_elf, benchmark="").report.serialize()
-
-
-def _pool_inspect_shm(ticket: shm.ArenaTicket) -> bytes:
+def _pool_inspect(ticket: shm.ArenaTicket) -> bytes:
     """Zero-copy worker task: only the tiny ticket crossed the pickle
     boundary.  The memoryview feeds the ELF reader and the decoder
     directly; the verdict returns as the compact frozen report wire."""
@@ -155,88 +122,6 @@ def _pool_inspect_shm(ticket: shm.ArenaTicket) -> bytes:
         return _WORKER_ENGARDE.inspect(view, benchmark="").report.serialize()
     finally:
         view.release()
-
-
-def _fresh_inspect(policies: PolicyRegistry, raw_elf: bytes) -> bytes:
-    """Thread-mode task: a fresh EnGarde per call (CycleMeter phase
-    bookkeeping is not shareable across concurrent inspections)."""
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return EnGarde(policies).inspect(raw_elf, benchmark="").report.serialize()
-
-
-# Micro-batched tasks: one future carries a vector of binaries and
-# returns ``(t_begin, t_end, wires)`` — worker-side monotonic stamps so
-# the scheduler can split queue wait from work time, and a wire per
-# binary where an individual failure becomes an ``("err", text)`` entry
-# instead of poisoning its group-mates.  A *whole-group* exception
-# (e.g. an injected ``WorkerCrashError``) propagates through the future
-# and the parent re-runs the members per-item with full retry
-# semantics.
-
-
-def _inspect_vector(engarde_for, payloads) -> list:
-    wires: list = []
-    for payload in payloads:
-        try:
-            wires.append(
-                engarde_for().inspect(payload, benchmark="").report.serialize()
-            )
-        except Exception as exc:  # noqa: BLE001 — per-item isolation
-            wires.append(("err", f"{type(exc).__name__}: {exc}"))
-    return wires
-
-
-def _pool_inspect_group_shm(tickets: list) -> tuple:
-    t_begin = time.monotonic()
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    views = shm.attach_views(tickets)
-    try:
-        wires = _inspect_vector(lambda: _WORKER_ENGARDE, views)
-    finally:
-        for view in views:
-            view.release()
-    return t_begin, time.monotonic(), wires
-
-
-def _pool_inspect_group(raws: list) -> tuple:
-    t_begin = time.monotonic()
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return t_begin, time.monotonic(), _inspect_vector(
-        lambda: _WORKER_ENGARDE, raws
-    )
-
-
-def _fresh_inspect_group(policies: PolicyRegistry, raws: list) -> tuple:
-    t_begin = time.monotonic()
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return t_begin, time.monotonic(), _inspect_vector(
-        lambda: EnGarde(policies), raws
-    )
-
-
-# Extent-scan tasks: one future per extent of a huge binary.  The scan
-# is meter-free by construction (repro.core.extent); the parent replays
-# the charges during the merge.  Zero-copy path: ONE retained ticket is
-# shared by every extent task of the same binary.
-
-
-def _pool_scan_extent_shm(ticket: shm.ArenaTicket, task: dict):
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    view = shm.attach_view(ticket)
-    try:
-        return scan_extent(view, _WORKER_ENGARDE.policies, task)
-    finally:
-        view.release()
-
-
-def _pool_scan_extent(raw_elf: bytes, task: dict):
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return scan_extent(raw_elf, _WORKER_ENGARDE.policies, task)
-
-
-def _fresh_scan_extent(policies: PolicyRegistry, raw_elf: bytes, task: dict):
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return scan_extent(raw_elf, policies, task)
 
 
 # -------------------------------------------------------------- quarantine
@@ -249,6 +134,9 @@ class Quarantine:
     *threshold* it is quarantined and subsequent submissions short-circuit
     to an errored result.  A success (after :meth:`release`) resets the
     count — quarantine never contaminates verdicts, it only refuses work.
+
+    Thread-safe: daemon handler threads record failures while STATUS and
+    METRICS count the ledger, so every method holds the lock.
     """
 
     def __init__(self, threshold: int) -> None:
@@ -266,24 +154,32 @@ class Quarantine:
         return count >= self.threshold
 
     def record_success(self, key: CacheKey) -> None:
-        self._failures.pop(key, None)
+        with self._lock:
+            self._failures.pop(key, None)
 
     def is_quarantined(self, key: CacheKey) -> bool:
-        return self._failures.get(key, 0) >= self.threshold
+        with self._lock:
+            return self._failures.get(key, 0) >= self.threshold
 
     def failures(self, key: CacheKey) -> int:
-        return self._failures.get(key, 0)
+        with self._lock:
+            return self._failures.get(key, 0)
 
     def release(self, key: CacheKey) -> None:
         """Forget a key's failures so the next submission runs again."""
-        self._failures.pop(key, None)
+        with self._lock:
+            self._failures.pop(key, None)
 
     def clear(self) -> None:
-        self._failures.clear()
+        with self._lock:
+            self._failures.clear()
 
     def __len__(self) -> int:
         """Number of currently quarantined keys."""
-        return sum(1 for c in self._failures.values() if c >= self.threshold)
+        with self._lock:
+            return sum(
+                1 for c in self._failures.values() if c >= self.threshold
+            )
 
 
 # ----------------------------------------------------------------- results
@@ -340,9 +236,9 @@ class BatchSummary:
     #: full key set (zeroed when the resilience layer is idle), so the
     #: summary's JSON schema is stable for monitoring consumers
     resilience: dict = field(default_factory=lambda: dict(ZERO_RESILIENCE))
-    #: scheduler/dispatch accounting — same always-present contract,
-    #: schema pinned by :data:`repro.service.sched.ZERO_SCHED`
-    dispatch: dict = field(default_factory=lambda: dict(ZERO_SCHED))
+    #: pool dispatch accounting: one future per unique miss in process
+    #: mode, 0 when the batch ran serially
+    dispatch: dict = field(default_factory=lambda: {"futures_submitted": 0})
 
     @property
     def binaries_per_second(self) -> float:
@@ -404,21 +300,12 @@ class BatchInspector:
     policies:
         The agreed policy set; folded into every cache key.
     workers:
-        Pool size for ``process``/``thread`` modes (default: ``os.cpu_count()``
+        Pool size for ``process`` mode (default: ``os.cpu_count()``
         capped at 8).
     mode:
         ``"process"`` (default, real parallelism for the CPU-bound
-        pipeline), ``"thread"`` (useful when the cache absorbs most
-        requests), or ``"serial"`` (no pool — the differential baseline).
-    shared_memory:
-        In ``process`` mode (default on), publish binaries into a
-        :class:`~repro.service.shm.SharedArena` and hand workers
-        zero-copy tickets instead of pickling the raw bytes through the
-        pool pipe.  ``False`` keeps the original pickling submit path —
-        the differential oracle for the zero-copy executor (and the
-        safe fallback where ``/dev/shm`` is unavailable).  Ignored in
-        ``thread``/``serial`` modes, which never cross a process
-        boundary.
+        pipeline over the zero-copy arena) or ``"serial"`` (no pool —
+        the differential baseline).
     cache:
         An :class:`InspectionCache` to share across inspectors, ``None``
         to create a private one, or ``False`` to disable caching.
@@ -440,13 +327,6 @@ class BatchInspector:
     quarantine_threshold:
         Consecutive failures before a binary is quarantined; ``None``
         disables the quarantine.
-    scheduler:
-        ``"per-item"`` (default — one future per unique miss, the
-        frozen differential oracle) or ``"adaptive"`` (inline /
-        micro-batch / extent-split dispatch per the
-        :class:`~repro.service.sched.AdaptiveScheduler` cost model;
-        honors the ``REPRO_SCHED_*`` environment knobs).  Ignored in
-        ``serial`` mode, which never dispatches.
     clock:
         Time source for backoff/deadline/quarantine decisions — pass a
         :class:`~repro.faults.clock.FakeClock` (shared with the active
@@ -459,7 +339,6 @@ class BatchInspector:
         *,
         workers: int | None = None,
         mode: str = "process",
-        shared_memory: bool = True,
         cache: InspectionCache | None | bool = None,
         cache_capacity: int = 1024,
         timeout: float | None = None,
@@ -468,14 +347,9 @@ class BatchInspector:
         deadline: float | None = None,
         quarantine_threshold: int | None = None,
         clock: Clock | None = None,
-        scheduler: str = "per-item",
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-            )
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if retries < 0:
@@ -497,25 +371,13 @@ class BatchInspector:
         if workers is None:
             workers = default_workers()
         self.workers = 1 if mode == "serial" else workers
-        self.shared_memory = bool(shared_memory) and mode == "process"
-        self.scheduler = scheduler
-        #: the cost model is built eagerly so bad REPRO_SCHED_* knobs
-        #: fail at construction, mirroring REPRO_WORKERS validation
-        self._sched = (
-            AdaptiveScheduler(workers=self.workers)
-            if scheduler == "adaptive" else None
-        )
-        #: per-thread EnGarde for the inline lane (daemon handler
-        #: threads run inspect_batch concurrently through one inspector)
-        self._inline_local = threading.local()
-        self._pickle_warned = False
         if cache is False:
             self.cache: InspectionCache | None = None
         elif cache is None or cache is True:
             self.cache = InspectionCache(cache_capacity)
         else:
             self.cache = cache
-        self._executor: ProcessPoolExecutor | ThreadPoolExecutor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._serial_engarde: EnGarde | None = None
         self._arena: shm.SharedArena | None = None
         #: tickets whose workers may still be reading (timed-out futures);
@@ -538,14 +400,11 @@ class BatchInspector:
     def _ensure_executor(self):
         with self._lifecycle:
             if self._executor is None:
-                if self.mode == "process":
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=_init_worker,
-                        initargs=(self.policies,),
-                    )
-                else:
-                    self._executor = ThreadPoolExecutor(max_workers=self.workers)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_init_worker,
+                    initargs=(self.policies,),
+                )
             return self._executor
 
     def _ensure_arena(self) -> shm.SharedArena:
@@ -558,12 +417,6 @@ class BatchInspector:
         """Lifetime arena counters, or ``None`` before first zero-copy use."""
         with self._lifecycle:
             return self._arena.stats() if self._arena is not None else None
-
-    def _submit(self, raw_elf: bytes) -> Future:
-        executor = self._ensure_executor()
-        if self.mode == "process":
-            return executor.submit(_pool_inspect, raw_elf)
-        return executor.submit(_fresh_inspect, self.policies, raw_elf)
 
     def _teardown_arena(self) -> None:
         """Release straggler tickets and unlink the arena (fail-closed:
@@ -655,41 +508,12 @@ class BatchInspector:
                 continue
             misses.setdefault(key, []).append(i)
 
-        # Pass 2: run the unique misses (pooled, adaptive, or inline).
-        dispatch = dict(ZERO_SCHED)
-        dispatch["scheduler"] = self.scheduler
-        if self.mode == "process" and not self.shared_memory:
-            # few-huge pickle cliff: every byte crosses the pool pipe
-            # twice (submit + fork inheritance is not in play for the
-            # payload).  Warn once, and surface the estimated penalty.
-            big = sum(
-                len(items[idxs[0]][1])
-                for idxs in misses.values()
-                if len(items[idxs[0]][1]) >= PICKLE_WARN_BYTES
-            )
-            if big:
-                dispatch["pickle_penalty_seconds"] = round(
-                    2 * big / _PICKLE_BYTES_PER_SEC, 6
-                )
-                if not self._pickle_warned:
-                    self._pickle_warned = True
-                    warnings.warn(
-                        f"shared_memory=False with {big} bytes of large "
-                        "submissions: each crosses the pool pipe twice "
-                        "(estimated penalty "
-                        f"{dispatch['pickle_penalty_seconds']}s); enable "
-                        "shared_memory for zero-copy dispatch",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+        # Pass 2: run the unique misses (pooled or inline).
         if self.mode == "serial" or self._degraded:
             verdicts = self._run_serial(items, misses)
-        elif self.scheduler == "adaptive":
-            verdicts = self._run_adaptive(items, misses, dispatch)
         else:
             verdicts = self._run_pooled(items, misses)
-            dispatch["futures_submitted"] = len(misses)
-        summary.dispatch = dispatch
+            summary.dispatch["futures_submitted"] = len(misses)
 
         # Pass 3: verify verdict integrity, fan verdicts back out to every
         # index that wanted them (in submission order), and memoize —
@@ -782,7 +606,9 @@ class BatchInspector:
             "retry_attempts": self._retry_attempts,
             "deadline": self.deadline,
             "quarantined_items": quarantined_items,
-            "quarantined_keys": len(self.quarantine) if self.quarantine else 0,
+            "quarantined_keys": (
+                len(self.quarantine) if self.quarantine is not None else 0
+            ),
             "degraded_to_serial": self._degraded,
         }
 
@@ -837,9 +663,8 @@ class BatchInspector:
         all future batches — to serial execution instead of failing the
         batch.
 
-        Zero-copy path (``shared_memory``): each unique miss is
-        published into the arena exactly once; retries resubmit the
-        same ticket.  A ticket is released as soon as its verdict is
+        Each unique miss is published into the arena exactly once;
+        retries resubmit the same ticket.  A ticket is released as soon as its verdict is
         final — except after a pool *timeout*, where the worker may
         still be reading the slot: those tickets park on the zombie
         list and are only freed once the pool has shut down, so a slot
@@ -850,7 +675,6 @@ class BatchInspector:
         starts: dict[CacheKey, float] = {}
         tries = {key: 0 for key in misses}
         tickets: dict[CacheKey, shm.ArenaTicket] = {}
-        use_shm = self.shared_memory
 
         def settle(key, *, zombie: bool = False) -> None:
             ticket = tickets.pop(key, None)
@@ -878,16 +702,13 @@ class BatchInspector:
                 starts.setdefault(key, self.clock.time())
                 raw = items[indices[0]][1]
                 try:
-                    if use_shm:
-                        ticket = tickets.get(key)
-                        if ticket is None:
-                            ticket = self._ensure_arena().publish(raw)
-                            tickets[key] = ticket
-                        futures[key] = self._ensure_executor().submit(
-                            _pool_inspect_shm, ticket
-                        )
-                    else:
-                        futures[key] = self._submit(raw)
+                    ticket = tickets.get(key)
+                    if ticket is None:
+                        ticket = self._ensure_arena().publish(raw)
+                        tickets[key] = ticket
+                    futures[key] = self._ensure_executor().submit(
+                        _pool_inspect, ticket
+                    )
                 except (BrokenExecutor, ArenaError):
                     return abandon()
             retry_next: dict[CacheKey, list[int]] = {}
@@ -937,240 +758,6 @@ class BatchInspector:
         for key in list(tickets):  # defensive: nothing should remain
             settle(key)
         return verdicts
-
-    # --------------------------------------------------- adaptive dispatch
-
-    def _inline_engarde(self) -> EnGarde:
-        """Per-thread engine for the inline lane (CycleMeter phase
-        bookkeeping cannot be shared across concurrent inspections)."""
-        engarde = getattr(self._inline_local, "engarde", None)
-        if engarde is None:
-            engarde = EnGarde(self.policies)
-            self._inline_local.engarde = engarde
-        return engarde
-
-    def _run_adaptive(self, items, misses, dispatch):
-        """Route unique misses through the adaptive scheduler's lanes.
-
-        Ordering is chosen for overlap: micro-batch groups are submitted
-        first so pool workers chew while the caller thread runs the
-        inline lane, then huge binaries extent-split across the same
-        pool, and group results are collected last.  Items that error
-        *inside* a micro-batch re-run through the frozen per-item path
-        with its full retry/deadline semantics, so terminal error text
-        is identical between schedulers.  A broken pool degrades exactly
-        as the per-item path does: in-flight tickets go to the zombie
-        list and every unsettled miss re-runs serially.
-        """
-        sched = self._sched
-        verdicts: dict[CacheKey, tuple[bytes | None, str | None]] = {}
-        raw_of = {key: items[indices[0]][1] for key, indices in misses.items()}
-        plan = sched.plan([(key, len(raw)) for key, raw in raw_of.items()])
-        use_shm = self.shared_memory
-        remainder: list[CacheKey] = []
-
-        def degrade_rest(group_state):
-            with self._lifecycle:
-                for state in group_state:
-                    self._zombie_tickets.extend(state["tickets"])
-                    state["tickets"] = []
-            remaining = {k: v for k, v in misses.items() if k not in verdicts}
-            return self._degrade(items, remaining, verdicts)
-
-        # 1. micro-batch groups first: one future per group, per-binary
-        #    tickets, a vector of wires back
-        group_state: list[dict] = []
-        for group in plan.groups:
-            raws = [raw_of[k] for k in group]
-            tickets: list[shm.ArenaTicket] = []
-            try:
-                if use_shm:
-                    tickets = shm.publish_many(self._ensure_arena(), raws)
-                    future = self._ensure_executor().submit(
-                        _pool_inspect_group_shm, tickets
-                    )
-                elif self.mode == "process":
-                    future = self._ensure_executor().submit(
-                        _pool_inspect_group, raws
-                    )
-                else:
-                    future = self._ensure_executor().submit(
-                        _fresh_inspect_group, self.policies, raws
-                    )
-            except (BrokenExecutor, ArenaError):
-                group_state.append(
-                    {"keys": group, "future": None, "tickets": tickets}
-                )
-                return degrade_rest(group_state)
-            group_state.append({
-                "keys": group, "future": future, "tickets": tickets,
-                "bytes": sum(len(r) for r in raws),
-                "submitted": time.monotonic(),
-            })
-        dispatch["futures_submitted"] += len(group_state)
-
-        # 2. inline lane on the caller thread (overlaps with the pool)
-        for key in plan.inline:
-            raw = raw_of[key]
-
-            def attempt(raw=raw):
-                fault_hook("service.batch.worker", error=WorkerCrashError)
-                return self._inline_engarde().inspect(
-                    raw, benchmark=""
-                ).report.serialize()
-
-            t0 = time.monotonic()
-            verdicts[key] = self._attempt_with_retries(attempt)
-            sched.observe_work(len(raw), time.monotonic() - t0)
-            dispatch["inlined"] += 1
-
-        # 3. extent-split lane: huge binaries fan their text section out
-        #    across the same pool, one scan future per extent
-        for key in plan.split:
-            outcome = self._split_one(raw_of[key], dispatch)
-            if outcome is _DEGRADE:
-                return degrade_rest(group_state)
-            verdicts[key] = outcome
-
-        # 4. collect micro-batch groups
-        for state in group_state:
-            keys, future = state["keys"], state["future"]
-            tickets = state["tickets"]
-            try:
-                t_begin, t_end, wires = future.result(timeout=self.timeout)
-            except FutureTimeoutError:
-                future.cancel()
-                # zombie-ticket handling: the hung worker may still be
-                # attached to every slot in this group — park them all
-                # until the pool is torn down
-                with self._lifecycle:
-                    self._zombie_tickets.extend(tickets)
-                state["tickets"] = []
-                for k in keys:
-                    verdicts[k] = (
-                        None, f"inspection exceeded {self.timeout}s timeout",
-                    )
-                continue
-            except BrokenExecutor:
-                return degrade_rest(group_state)
-            except Exception:  # noqa: BLE001 — whole-group crash
-                self._release_tickets(tickets)
-                state["tickets"] = []
-                remainder.extend(keys)
-                continue
-            received = time.monotonic()
-            self._release_tickets(tickets)
-            state["tickets"] = []
-            if len(wires) != len(keys):  # defensive: torn vector
-                remainder.extend(keys)
-                continue
-            sched.observe_dispatch(
-                overhead=(received - state["submitted"]) - (t_end - t_begin),
-                queue_wait=t_begin - state["submitted"],
-            )
-            sched.observe_work(state["bytes"], t_end - t_begin)
-            dispatch["micro_batches"] += 1
-            for k, wire in zip(keys, wires):
-                if isinstance(wire, tuple):  # ("err", text) member
-                    remainder.append(k)
-                else:
-                    verdicts[k] = (wire, None)
-                    dispatch["micro_batched"] += 1
-
-        # 5. group members that crashed or erred re-run through the
-        #    frozen per-item path (full retry/deadline semantics)
-        if remainder:
-            rem = {k: misses[k] for k in remainder}
-            verdicts.update(self._run_pooled(items, rem))
-            dispatch["futures_submitted"] += len(rem)
-
-        snap = sched.snapshot()
-        dispatch["queue_wait_seconds"] = round(snap["queue_wait_seconds"], 6)
-        dispatch["break_even_seconds"] = round(snap["break_even_seconds"], 6)
-        return verdicts
-
-    def _release_tickets(self, tickets) -> None:
-        arena = self._arena
-        if arena is not None:
-            for ticket in tickets:
-                arena.release(ticket)
-
-    def _split_one(self, raw, dispatch):
-        """Extent-split one huge binary over the pool; fail closed.
-
-        Returns a ``(wire, error)`` verdict or :data:`_DEGRADE`.  The
-        zero-copy path publishes **one** ticket shared by every extent
-        task.  Any scan failure is final — a typed error, never a
-        partial verdict and never a silent serial retry — because the
-        remaining scan futures cannot be recalled once dispatched.  The
-        ticket joins the zombie list on every non-clean exit, since a
-        straggling scan worker may still be attached to the slot.
-        """
-        engarde = EnGarde(self.policies)
-        use_shm = self.shared_memory
-        state = {"ticket": None, "zombie": False}
-
-        def run_scans(tasks):
-            executor = self._ensure_executor()
-            futures = []
-            if use_shm:
-                ticket = self._ensure_arena().publish(raw)
-                state["ticket"] = ticket
-                for task in tasks:
-                    futures.append(
-                        executor.submit(_pool_scan_extent_shm, ticket, task)
-                    )
-            elif self.mode == "process":
-                for task in tasks:
-                    futures.append(
-                        executor.submit(_pool_scan_extent, raw, task)
-                    )
-            else:
-                for task in tasks:
-                    futures.append(
-                        executor.submit(
-                            _fresh_scan_extent, self.policies, raw, task
-                        )
-                    )
-            dispatch["futures_submitted"] += len(futures)
-            scans = []
-            try:
-                for future in futures:
-                    scans.append(future.result(timeout=self.timeout))
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-            return scans
-
-        try:
-            result = inspect_extent_split(
-                engarde, raw, benchmark="", parts=max(2, self.workers),
-                run_scans=run_scans,
-            )
-        except FutureTimeoutError:
-            state["zombie"] = True
-            return (None, f"inspection exceeded {self.timeout}s timeout")
-        except (BrokenExecutor, ArenaError):
-            state["zombie"] = True
-            return _DEGRADE
-        except Exception as exc:  # noqa: BLE001 — fail the verdict closed
-            state["zombie"] = True
-            return (None, f"{type(exc).__name__}: {exc}")
-        finally:
-            ticket = state["ticket"]
-            if ticket is not None:
-                if state["zombie"]:
-                    with self._lifecycle:
-                        self._zombie_tickets.append(ticket)
-                else:
-                    self._release_tickets([ticket])
-        if result.split:
-            dispatch["extent_split"] += 1
-            dispatch["extents_scanned"] += result.extents
-        else:
-            dispatch["split_fallbacks"] += 1
-        return (result.outcome.report.serialize(), None)
 
     def _degrade(self, items, remaining, verdicts):
         """Broken pool: finish the batch serially, stay serial afterwards.

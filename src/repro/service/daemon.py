@@ -64,7 +64,6 @@ from .batch import BatchInspector, BatchItemResult
 from .cache import InspectionCache, ProvisioningVerdictCache
 from .metrics import DaemonMetrics
 from .pool import EnclavePool, PooledEnclave
-from .sched import ZERO_SCHED
 from .store import ZERO_STORE
 
 __all__ = ["InspectionDaemon", "ZERO_SHARD"]
@@ -137,7 +136,6 @@ class InspectionDaemon:
         inspector: BatchInspector | None = None,
         inspector_mode: str = "serial",
         workers: int | None = None,
-        shared_memory: bool = True,
         cache: InspectionCache | None = None,
         verdict_cache: ProvisioningVerdictCache | None = None,
         pool: EnclavePool | None = None,
@@ -151,7 +149,6 @@ class InspectionDaemon:
         retries: int = 0,
         deadline: float | None = None,
         quarantine_threshold: int | None = None,
-        scheduler: str = "per-item",
         clock: Clock | None = None,
         rng: HmacDrbg | None = None,
         metrics: DaemonMetrics | None = None,
@@ -185,13 +182,11 @@ class InspectionDaemon:
             policies,
             mode=inspector_mode,
             workers=workers,
-            shared_memory=shared_memory,
             cache=self.cache,
             retries=retries,
             deadline=deadline,
             quarantine_threshold=quarantine_threshold,
             clock=self.clock,
-            scheduler=scheduler,
         )
         if inspector is not None and inspector.cache is not None:
             self.cache = inspector.cache
@@ -219,11 +214,6 @@ class InspectionDaemon:
         self._connections: dict[int, _Connection] = {}
         self._conn_seq = 0
         self._inspect_lock = threading.Lock()
-        #: cumulative dispatch accounting merged from every batch this
-        #: daemon ran — always the full ``ZERO_SCHED`` key set
-        self._dispatch_totals = dict(ZERO_SCHED)
-        self._dispatch_totals["scheduler"] = self.inspector.scheduler
-        self._dispatch_lock = threading.Lock()
         self._started_at = time.monotonic()
 
     # ------------------------------------------------------------ lifecycle
@@ -608,7 +598,6 @@ class InspectionDaemon:
             # threads fan submissions across the worker pool concurrently
             report = self.inspector.inspect_batch([(label, raw)])
         self.metrics.observe("inspect", time.perf_counter() - t0)
-        self._merge_dispatch(report.summary.dispatch)
         item = report.results[0]
         if item.error is not None:
             self.metrics.inc("submits.errors")
@@ -662,25 +651,6 @@ class InspectionDaemon:
             enclave_pages=self.pool.enclave_pages,
         )
 
-    def _merge_dispatch(self, dispatch: dict) -> None:
-        """Fold one batch's dispatch block into the cumulative totals."""
-        with self._dispatch_lock:
-            totals = self._dispatch_totals
-            for key, value in dispatch.items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                if key == "break_even_seconds":
-                    totals[key] = value  # latest model estimate, not a sum
-                else:
-                    totals[key] = round(totals[key] + value, 6)
-
-    def sched_info(self) -> dict:
-        """Always-present dispatch accounting (``ZERO_SCHED`` schema)."""
-        with self._dispatch_lock:
-            return dict(self._dispatch_totals)
-
     def shard_info(self) -> dict:
         """Always-present shard identity (``ZERO_SHARD`` when fleetless)."""
         if not self.shard_id and self.fleet_size == 0:
@@ -712,11 +682,12 @@ class InspectionDaemon:
             "connections_active": active,
             "inflight_requests": inflight,
             "backlog": inflight,
-            "quarantined_keys": len(quarantine) if quarantine else 0,
+            "quarantined_keys": (
+                len(quarantine) if quarantine is not None else 0
+            ),
             "cache_entries": len(self.cache) if self.cache is not None else 0,
             "shard": self.shard_info(),
             "store": self.store_info(),
-            "sched": self.sched_info(),
         }
 
     def metrics_snapshot(self) -> dict:
@@ -735,18 +706,18 @@ class InspectionDaemon:
             ),
             "verdict_cache": self.verdict_cache.stats().as_dict(),
             "quarantine": {
-                "keys": len(quarantine) if quarantine else 0,
-                "threshold": quarantine.threshold if quarantine else None,
+                "keys": len(quarantine) if quarantine is not None else 0,
+                "threshold": (
+                    quarantine.threshold if quarantine is not None else None
+                ),
             },
             # The stable (always-present, zeroed when idle) resilience
             # schema BatchSummary shares; see docs/RESILIENCE.md.
             "resilience": self.inspector.resilience_stats(),
-            # Same pattern for fleet identity, the on-disk verdict
-            # store, and scheduler dispatch accounting; see
-            # docs/FLEET.md and docs/PERFORMANCE.md.
+            # Same pattern for fleet identity and the on-disk verdict
+            # store; see docs/FLEET.md.
             "shard": self.shard_info(),
             "store": self.store_info(),
-            "sched": self.sched_info(),
         }
         snap.update(self.metrics.snapshot())
         snap["status"] = self.status()

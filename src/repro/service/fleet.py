@@ -52,7 +52,6 @@ from ..faults.clock import Clock, SystemClock
 from .cache import InspectionCache, ProvisioningVerdictCache
 from .client import ClientVerdict, InspectionClient
 from .daemon import InspectionDaemon
-from .sched import ZERO_SCHED
 from .store import (
     ZERO_STORE,
     TieredCache,
@@ -208,7 +207,6 @@ class FleetCoordinator:
         clock: Clock | None = None,
         inspector_mode: str = "serial",
         workers: int | None = None,
-        scheduler: str = "per-item",
     ) -> None:
         if shards < 1:
             raise FleetError(f"fleet needs at least one shard, got {shards}")
@@ -244,7 +242,6 @@ class FleetCoordinator:
                 max_connections=max_connections,
                 inspector_mode=inspector_mode,
                 workers=workers,
-                scheduler=scheduler,
                 shard_id=shard_id,
                 shard_index=index,
                 fleet_size=shards,
@@ -448,27 +445,7 @@ class FleetCoordinator:
                 self.store.stats() if self.store is not None
                 else dict(ZERO_STORE)
             ),
-            "sched": self._sched_totals(),
         }
-
-    def _sched_totals(self) -> dict:
-        """Fleet-wide dispatch accounting: per-shard ``sched`` blocks
-        summed into one always-present ``ZERO_SCHED``-schema dict (the
-        latest break-even estimate wins, matching the daemon rule)."""
-        totals = dict(ZERO_SCHED)
-        for _, shard in sorted(self.shards.items()):
-            block = shard.daemon.sched_info()
-            totals["scheduler"] = block["scheduler"]
-            for key, value in block.items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                if key == "break_even_seconds":
-                    totals[key] = value
-                else:
-                    totals[key] = round(totals[key] + value, 6)
-        return totals
 
     def metrics_snapshot(self) -> dict:
         """Per-shard METRICS dumps keyed by shard id, plus fleet status."""

@@ -1,11 +1,11 @@
 """Zero-copy shared-memory arena for the multicore batch executor.
 
-``BatchInspector(mode="process")`` historically pickled every raw ELF
-into ``executor.submit(...)`` — two full copies through a pipe the pool
-management thread owns, per binary, per attempt.  For data-heavy
-binaries the pipe transfer costs more than the inspection itself, and
-every byte funnels through one file descriptor no matter how many
-workers exist.  This module removes that boundary:
+Pickling every raw ELF into ``executor.submit(...)`` would cost two
+full copies through a pipe the pool management thread owns, per binary,
+per attempt.  For data-heavy binaries the pipe transfer costs more than
+the inspection itself, and every byte funnels through one file
+descriptor no matter how many workers exist.  This module removes that
+boundary for ``BatchInspector(mode="process")``:
 
 * the parent writes each binary **once** into a
   :class:`multiprocessing.shared_memory.SharedMemory` slab,
@@ -48,9 +48,7 @@ __all__ = [
     "ArenaTicket",
     "SharedArena",
     "attach_view",
-    "attach_views",
     "detach_all",
-    "publish_many",
 ]
 
 #: slot header: magic(4) pad(4) generation(8) length(8) reserved(8)
@@ -300,26 +298,6 @@ class SharedArena:
             pass
 
 
-def publish_many(arena: SharedArena, payloads) -> list[ArenaTicket]:
-    """Publish a micro-batch of payloads, rolling back on failure.
-
-    Tickets stay **per-binary** — the micro-batched executor task
-    receives a vector of ordinary tickets, so timeout/zombie handling
-    and refcounting work per binary exactly as for per-item dispatch.
-    If any publish fails (arena closed, OS refuses memory) the tickets
-    already published are released before the error propagates.
-    """
-    tickets: list[ArenaTicket] = []
-    try:
-        for payload in payloads:
-            tickets.append(arena.publish(payload))
-    except Exception:
-        for ticket in tickets:
-            arena.release(ticket)
-        raise
-    return tickets
-
-
 # ------------------------------------------------------------- worker side
 
 #: segments this process has attached, by name — workers are long-lived,
@@ -375,25 +353,6 @@ def attach_view(ticket: ArenaTicket) -> memoryview:
         )
     start = ticket.offset + HEADER_SIZE
     return memoryview(shm.buf)[start:start + ticket.length]
-
-
-def attach_views(tickets) -> list[memoryview]:
-    """Map a micro-batch of tickets to payload views, all-or-nothing.
-
-    Either every ticket validates and every view is returned, or the
-    views attached so far are released and the offending ticket's
-    :class:`ArenaError` propagates — a partially-attached micro-batch
-    can never produce a partially-inspected verdict vector.
-    """
-    views: list[memoryview] = []
-    try:
-        for ticket in tickets:
-            views.append(attach_view(ticket))
-    except Exception:
-        for view in views:
-            view.release()
-        raise
-    return views
 
 
 def detach_all() -> None:

@@ -134,6 +134,11 @@ class HostOS:
         runtime.heap_pages = heap_pages
 
         machine.einit(enclave)
+        # Forget the runtimes of enclaves destroyed since the last build,
+        # whoever destroyed them, so a long-lived host does not grow.
+        for eid in list(self.runtimes):
+            if eid not in machine.enclaves:
+                self.runtimes.pop(eid, None)
         self.runtimes[enclave.eid] = runtime
         return runtime
 

@@ -10,7 +10,6 @@ from .asm import BUNDLE_SIZE, Assembler, ExternalFixup, Label
 from .decoder import (
     StreamDecoder,
     decode_all,
-    decode_extent,
     decode_one,
     iter_decode,
 )
@@ -35,7 +34,7 @@ from .validator import (
 __all__ = [
     "Assembler", "Label", "ExternalFixup", "BUNDLE_SIZE",
     "Enc",
-    "decode_one", "decode_all", "decode_extent", "iter_decode",
+    "decode_one", "decode_all", "iter_decode",
     "StreamDecoder",
     "Instruction", "Mem", "Imm", "Operand",
     "Reg", "reg_name", "reg_by_name", "GPR64", "GPR32",

@@ -47,7 +47,7 @@ from .opcodes import (
 from .registers import GPR32, GPR64, Reg
 
 __all__ = [
-    "decode_one", "decode_all", "decode_extent", "iter_decode",
+    "decode_one", "decode_all", "iter_decode",
     "StreamDecoder",
 ]
 
@@ -544,48 +544,6 @@ def iter_decode(code: bytes, start: int = 0, end: int | None = None) -> Iterator
 def decode_all(code: bytes, start: int = 0, end: int | None = None) -> list[Instruction]:
     """Decode a whole region, materialising the instruction list."""
     return list(iter_decode(code, start, end))
-
-
-def decode_extent(
-    code: bytes, start: int, end: int, out: list[Instruction] | None = None,
-) -> tuple[list[Instruction], int]:
-    """Decode one extent of a larger region: [start, stop) within *code*.
-
-    Unlike :func:`iter_decode` with an ``end``, the *extent* boundary is
-    not the region boundary: the decode stops once the cursor reaches
-    *end*, but instructions may legally extend past it (the caller
-    detects that as a stitch mismatch), and the past-the-end error is
-    raised against ``len(code)`` — exactly the error a whole-buffer
-    ``iter_decode(code, 0, len(code))`` would raise at the same byte.
-
-    Returns ``(instructions, pos)`` where *pos* is the cursor position
-    after the last decoded instruction.  A concatenation of extent
-    decodes whose positions stitch exactly (each extent's *pos* equals
-    the next extent's *start*) is provably identical to the single
-    linear decode, because both drive the same resumable cursor over
-    the same bytes from the same offsets.
-
-    Pass *out* (a list) to receive instructions as they decode — on a
-    :class:`DecodeError` the caller then still holds every instruction
-    completed before the failure, which the extent-split merge needs to
-    replay the serial decode's partial charges exactly.
-    """
-    if type(code) is not bytes:
-        code = bytes(code)
-    limit = len(code)
-    cur = _Cursor(code, start)
-    if out is None:
-        out = []
-    append = out.append
-    while cur.pos < end:
-        insn = _decode_next(cur)
-        if insn.end > limit:
-            raise DecodeError(
-                f"instruction at {insn.offset:#x} extends past region end "
-                f"{limit:#x}"
-            )
-        append(insn)
-    return out, cur.pos
 
 
 class StreamDecoder:

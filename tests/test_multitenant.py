@@ -41,6 +41,36 @@ class TestSequentialTenants:
         good = EnclaveClient(good_binary.elf, policies=all_policies)
         assert provision(provider, good).accepted
 
+    def test_host_forgets_runtimes_of_destroyed_enclaves(self, libc,
+                                                         all_policies):
+        """A long-lived provider must not keep every runtime it built:
+        rejects (destroyed by ``finalize``) and accepted enclaves the
+        caller tears down are dropped by the next build."""
+        provider = small_provider(all_policies)
+        good = compile_demo(libc, stack_protector=True, ifcc=True,
+                            name="resident").elf
+        kept = []
+        for i in range(10):
+            if i % 3 == 2:
+                bad = EnclaveClient(b"not an elf" * 100, policies=all_policies)
+                assert not provision(provider, bad).accepted
+                continue
+            result = provision(provider, EnclaveClient(
+                good, policies=all_policies, benchmark=f"tenant{i}",
+            ))
+            assert result.accepted
+            if i % 3 == 0:
+                kept.append(result.runtime)
+            else:
+                provider.machine.eexit(result.runtime.enclave)
+                provider.machine.destroy(result.runtime.enclave)
+        live = len(provider.machine.enclaves)
+        assert live == len(kept) == 4
+        assert len(provider.host.runtimes) <= live + 1
+        assert all(
+            provider.host.runtimes[rt.enclave.eid] is rt for rt in kept
+        )
+
 
 class TestCrossTenantIsolation:
     @pytest.fixture()

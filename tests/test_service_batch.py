@@ -51,7 +51,7 @@ def _assert_identical(results, baseline, corpus):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_batch_matches_sequential_baseline(
         self, mode, corpus, baseline, all_policies
     ):
@@ -80,7 +80,7 @@ class TestDifferential:
     ):
         reordered = list(reversed(corpus))
         with BatchInspector(
-            all_policies, workers=4, mode="thread", cache=False
+            all_policies, workers=4, mode="process", cache=False
         ) as bi:
             report = bi.inspect_batch(reordered)
         _assert_identical(report.results, list(reversed(baseline)), reordered)
@@ -127,9 +127,10 @@ class TestIsolationAndDedup:
                 raise RuntimeError("simulated pipeline crash")
             return original(self, raw_elf, benchmark=benchmark)
 
+        # the pool forks after the patch, so its workers inherit it
         monkeypatch.setattr(EnGarde, "inspect", crashing)
         with BatchInspector(
-            all_policies, workers=2, mode="thread", cache=False
+            all_policies, workers=2, mode="process", cache=False
         ) as bi:
             report = bi.inspect_batch(corpus[:6])
         crashed = [r for r in report.results if r.error is not None]
@@ -151,7 +152,7 @@ class TestIsolationAndDedup:
 
         monkeypatch.setattr(EnGarde, "inspect", sluggish)
         with BatchInspector(
-            all_policies, workers=4, mode="thread", cache=False, timeout=0.5
+            all_policies, workers=4, mode="process", cache=False, timeout=0.5
         ) as bi:
             report = bi.inspect_batch(corpus[:6])
         timed_out = [r for r in report.results if r.error is not None]
@@ -222,7 +223,7 @@ class TestSoak:
         expected = {
             label: wire for (label, _), wire in zip(corpus, baseline)
         }
-        inspector = BatchInspector(all_policies, workers=4, mode="thread")
+        inspector = BatchInspector(all_policies, workers=4, mode="process")
         errors: list[str] = []
 
         def submitter(seed: int) -> None:

@@ -144,6 +144,64 @@ def test_quarantine_validates_threshold():
     assert len(q) == 0
 
 
+def test_quarantine_len_is_safe_against_a_concurrent_writer():
+    """STATUS/METRICS count the ledger while handler threads record
+    failures; the count must never see the dict change mid-iteration."""
+    import sys
+    import threading
+
+    q = Quarantine(1)
+    for i in range(2000):
+        q.record_failure(("seed", i))
+    errors: list[Exception] = []
+
+    def writer() -> None:
+        for i in range(20000):
+            q.record_failure(("new", i))
+
+    def reader() -> None:
+        # a fixed number of counts, so neither thread waits on the other
+        try:
+            for _ in range(300):
+                len(q)
+        except Exception as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads densely
+    try:
+        threads = [threading.Thread(target=f) for f in (reader, writer)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(q) == 22000
+
+
+def test_configured_but_empty_quarantine_reports_its_threshold(all_policies):
+    """A quarantine with no quarantined key yet is still configured:
+    METRICS must report its threshold, not ``null``."""
+    from tests.conftest import small_daemon
+
+    daemon = small_daemon(all_policies, quarantine_threshold=3)
+    try:
+        snap = daemon.metrics_snapshot()
+        assert snap["quarantine"] == {"keys": 0, "threshold": 3}
+        assert daemon.status()["quarantined_keys"] == 0
+    finally:
+        daemon.stop()
+        daemon.inspector.close()
+    plain = small_daemon(all_policies)
+    try:
+        assert plain.metrics_snapshot()["quarantine"]["threshold"] is None
+    finally:
+        plain.stop()
+
+
 # --------------------------------------------- error-path cache bug
 
 

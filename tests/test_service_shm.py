@@ -220,6 +220,20 @@ def test_shm_arena_drains_after_batch(all_policies, libc):
         assert stats["bytes_in_use"] == 0
 
 
+def test_dispatch_counts_one_future_per_unique_miss(all_policies, libc):
+    corpus = generate_variant_corpus(9, libc=libc)  # holds one duplicate
+    unique = len({raw for _, raw in corpus})
+    assert unique < len(corpus)
+    with BatchInspector(all_policies, mode="process", workers=2) as insp:
+        cold = insp.inspect_batch(corpus)
+        warm = insp.inspect_batch(corpus)
+    assert cold.summary.dispatch == {"futures_submitted": unique}
+    assert warm.summary.dispatch == {"futures_submitted": 0}
+    with BatchInspector(all_policies, mode="serial") as insp:
+        serial = insp.inspect_batch(corpus)
+    assert serial.summary.dispatch == {"futures_submitted": 0}
+
+
 # ------------------------------------------------- cross-mode differential
 
 
@@ -230,34 +244,21 @@ def _fingerprint(item):
 
 
 def test_all_executor_modes_produce_identical_wire(all_policies, libc):
-    """serial / thread / process+pickle / process+shm: byte-identical
-    verdict wire for every variant kind, including the reject paths."""
+    """serial / process+shm: byte-identical verdict wire for every
+    variant kind, including the reject paths."""
     corpus = generate_variant_corpus(9, libc=libc)  # one full rotation
     runs = {}
-    for name, kwargs in (
-        ("serial", dict(mode="serial")),
-        ("thread", dict(mode="thread")),
-        ("process-pickle", dict(mode="process", shared_memory=False)),
-        ("process-shm", dict(mode="process", shared_memory=True)),
-    ):
+    for mode in ("serial", "process"):
         with BatchInspector(
-            all_policies, workers=2, cache=False, **kwargs
+            all_policies, workers=2, cache=False, mode=mode
         ) as insp:
             report = insp.inspect_batch(corpus)
-        runs[name] = {
+        runs[mode] = {
             item.label: _fingerprint(item) for item in report.results
         }
     oracle = runs.pop("serial")
     for name, prints in runs.items():
         assert prints == oracle, f"{name} diverged from the serial oracle"
-
-
-def test_shm_flag_is_ignored_outside_process_mode(all_policies):
-    for mode in ("serial", "thread"):
-        insp = BatchInspector(all_policies, mode=mode, shared_memory=True)
-        assert insp.shared_memory is False
-        assert insp.arena_stats() is None
-        insp.close()
 
 
 # ----------------------------------------------------------- daemon path
@@ -269,11 +270,11 @@ def test_daemon_serves_through_shm_inspector(all_policies, good_elf, demo_plain)
         all_policies, inspector_mode="process", workers=2,
     )
     try:
-        assert daemon.inspector.shared_memory is True
         client = daemon_client(daemon, all_policies, timeout=20.0)
         with client:
             good = client.inspect(good_elf, label="good")
             bad = client.inspect(demo_plain.elf, label="bad")
+        assert daemon.inspector.arena_stats()["publishes"] == 2
         assert good.accepted
         assert good.report.compliant
         assert bad.report is not None and not bad.report.compliant
