@@ -377,7 +377,7 @@ class Disassembler:
         the scan decoded and the scan completed without error.  Everything
         else — decode errors (their message and charge sequence must be
         bit-exact), multi-section images, header/extent mismatches, fault
-        plans watching the decoder — falls back to the phased stage.
+        plans watching the decoder — falls back to :meth:`disassemble`.
         """
         image = self.parse_elf(raw)
         self.check_page_separation(image)

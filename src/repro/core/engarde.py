@@ -99,8 +99,9 @@ class EnGarde:
         the loading stage against a real enclave.  *scan* is an optional
         speculative :class:`~repro.core.streaming.StreamScan` collected
         while the content was still arriving; the disassembler verifies it
-        against the exact parse and falls back to the phased stage on any
-        mismatch, so verdicts and meter totals are identical either way.
+        against the exact parse and falls back to the whole-buffer decode
+        on any mismatch, so verdicts and meter totals are identical either
+        way.
         """
         policy_names = self.policies.names()
         try:

@@ -16,6 +16,12 @@ Actors:
   detectable).
 * :func:`provision` — drives the interleaving of the two sides plus the
   in-enclave EnGarde session; returns everything the harness reports.
+
+The provider decrypts each record in place into one buffer sized to the
+announced content and decodes the text while records arrive
+(:class:`~repro.core.streaming.StreamingPipeline`); a re-provisioned
+binary under a known label re-pays inspection only for the functions it
+changed (:func:`~repro.core.streaming.delta_scan`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from ..errors import (
     AttestationError,
     CryptoError,
     NetError,
+    OverrunError,
     ProtocolError,
     RejectionError,
     ReproError,
@@ -95,8 +102,6 @@ def expected_mrenclave(
     heap_pages: int,
     client_pages: int,
     enclave_pages: int = DEFAULT_ENCLAVE_PAGES,
-    use_cache: bool = True,
-    fast: bool = False,
 ) -> bytes:
     """What MRENCLAVE *must* be for the agreed EnGarde build.
 
@@ -106,25 +111,20 @@ def expected_mrenclave(
     (A regression test pins this function against an actual build.)
 
     The result depends only on the policy digest material and the three
-    geometry parameters, so it is memoized; ``use_cache=False`` forces
-    the full replay (the benchmark's reference mode uses it).  ``fast``
-    replays through the hashlib-backed measurement (identical absorb
-    framing, so the digest is byte-identical); the streaming client uses
-    it so its cold verification keeps up with the streamed provider.
+    geometry parameters, so it is memoized.
     """
     token = (
         policies.digest_material(), heap_pages, client_pages, enclave_pages,
     )
-    if use_cache:
-        with _MRENCLAVE_LOCK:
-            cached = _MRENCLAVE_MEMO.get(token)
-            if cached is not None:
-                _MRENCLAVE_MEMO.move_to_end(token)
-                return cached
+    with _MRENCLAVE_LOCK:
+        cached = _MRENCLAVE_MEMO.get(token)
+        if cached is not None:
+            _MRENCLAVE_MEMO.move_to_end(token)
+            return cached
     engarde = EnGarde(policies)
     boot = _bootstrap_pages(engarde)
     size = enclave_pages * PAGE_SIZE
-    m = Measurement(fast=fast)
+    m = Measurement()
     m.ecreate(ENCLAVE_BASE, size, 0)
     for vaddr in sorted(boot):
         m.eadd(vaddr, "REG", "rwx")
@@ -220,20 +220,16 @@ class CloudProvider:
         enclave_pages: int = DEFAULT_ENCLAVE_PAGES,
         per_insn_malloc: bool = False,
         channel_keypair: RsaPrivateKey | None = None,
-        channel_optimized: bool = True,
         verdict_cache=None,
-        streaming: bool = False,
+        streaming: bool = True,
     ) -> None:
+        """*streaming* accepts only ``True``: the streamed receive is the
+        one receive path.  The keyword goes once the benchmark
+        (``perfbench/workloads.py``) stops passing it."""
+        _require_streaming(streaming)
         self.policies = policies
         self.params = params or SgxParams()
-        #: streamed receive path: decrypt in place, overlap decode/prescan
-        #: with the channel drain, and keep a delta index per benchmark so
-        #: updated binaries only re-pay inspection for changed functions.
-        #: Every wire byte, verdict byte, MRENCLAVE, and meter tick is
-        #: identical to the phased path (``streaming=False``), which stays
-        #: frozen as the differential oracle.
-        self.streaming = streaming
-        self.machine = SgxMachine(self.params, fast=streaming)
+        self.machine = SgxMachine(self.params)
         self.host = HostOS(self.machine)
         self.rng = rng or HmacDrbg(b"cloud-provider")
         self.quoting_enclave = QuotingEnclave(self.machine, self.rng.fork(b"qe"))
@@ -246,9 +242,6 @@ class CloudProvider:
         self.per_insn_malloc = per_insn_malloc
         #: pre-generated channel keypair (tests reuse one to skip keygen)
         self.channel_keypair = channel_keypair
-        #: ``False`` pins every session's channel to the frozen reference
-        #: crypto (differential oracle / benchmark baseline)
-        self.channel_optimized = channel_optimized
         #: optional provisioning verdict cache (duck-typed so the core
         #: stays free of service imports; see
         #: :class:`repro.service.cache.ProvisioningVerdictCache`).  The
@@ -257,8 +250,8 @@ class CloudProvider:
         #: effect, not a memoizable result.
         self.verdict_cache = verdict_cache
         #: per-benchmark delta index (chunk map + function-verdict memo)
-        #: used by the streamed path to re-inspect only changed functions
-        #: when the same client re-provisions an updated binary
+        #: used to re-inspect only changed functions when the same client
+        #: re-provisions an updated binary
         self._delta_index: "OrderedDict[str, DeltaIndex]" = OrderedDict()
         self._delta_index_cap = 8
 
@@ -291,7 +284,7 @@ class CloudProvider:
         fault_hook("core.provisioning.handshake", error=ProtocolError)
         handshake = ServerHandshake(
             sock, self.rng.fork(b"channel"), rsa_bits=self.rsa_bits,
-            keypair=self.channel_keypair, optimized=self.channel_optimized,
+            keypair=self.channel_keypair,
         )
         handshake.send_public_key()
         return ProvisioningSession(
@@ -323,15 +316,9 @@ class CloudProvider:
         """
         fault_hook("core.provisioning.handshake", error=ProtocolError)
         session.channel = session.handshake.complete()
-        if self.streaming:
-            raw, scan = self._receive_content_streamed(
-                session, resilience=resilience, retransmit=retransmit
-            )
-        else:
-            raw = self._receive_content(
-                session, resilience=resilience, retransmit=retransmit
-            )
-            scan = None
+        raw, scan = self._receive_streamed(
+            session, resilience=resilience, retransmit=retransmit
+        )
         runtime = session.runtime
         cache = self.verdict_cache
         key = None
@@ -450,92 +437,14 @@ class CloudProvider:
 
     # ------------------------------------------------------------------
 
-    def _receive_content(
-        self,
-        session: ProvisioningSession,
-        *,
-        resilience: "ResilienceConfig | None" = None,
-        retransmit=None,
-    ) -> bytes:
-        """Receive the encrypted blocks through the host trampoline."""
-        runtime = session.runtime
-        channel = session.channel
-        assert channel is not None
-        meter = self.machine.meter
-
-        fd = 3  # the socket registered in start_session
-        header = self._recv_record(
-            runtime, channel, fd, meter,
-            resilience=resilience, retransmit=retransmit,
-        )
-        if len(header) != _CONTENT_HEADER.size:
-            raise ProtocolError("bad content header")
-        total, records = _CONTENT_HEADER.unpack(header)
-        if total > runtime.client_pages * PAGE_SIZE * 4:
-            raise ProtocolError("announced content size exceeds any sane image")
-        chunks = []
-        received = 0
-        for _ in range(records):
-            chunk = self._recv_record(
-                runtime, channel, fd, meter,
-                resilience=resilience, retransmit=retransmit,
-            )
-            chunks.append(chunk)
-            received += len(chunk)
-        if received != total:
-            raise ProtocolError(
-                f"content truncated: announced {total}, received {received}"
-            )
-        return b"".join(chunks)
-
-    def _recv_record(
-        self,
-        runtime: EnclaveRuntime,
-        channel: SecureChannel,
-        fd: int,
-        meter: CycleMeter,
-        *,
-        resilience: "ResilienceConfig | None" = None,
-        retransmit=None,
-    ) -> bytes:
-        # Socket I/O exits the enclave (trampoline); decryption happens
-        # back inside.  The AES work is charged per 16-byte block.
-        #
-        # With a ResilienceConfig and a retransmit callback, a corrupt or
-        # missing record triggers bounded ARQ rounds: flush the broken
-        # stream, exponential backoff on the shared clock, ask the peer
-        # to rewind its resend window to the expected sequence number.
-        attempt = 0
-        while True:
-            try:
-                fault_hook("core.provisioning.record", error=ProtocolError)
-                record = channel.recv()
-                break
-            except (CryptoError, NetError, ProtocolError):
-                if (
-                    resilience is None
-                    or retransmit is None
-                    or attempt >= resilience.max_retransmits
-                ):
-                    raise
-                resilience.clock.sleep(
-                    resilience.backoff_base * (2 ** attempt)
-                )
-                attempt += 1
-                channel.drain_pending()
-                retransmit(channel.expected_recv_seq)
-        self.host.trampoline(runtime)
-        meter.charge("aes_block", max(len(record) // 16, 1))
-        return record
-
-    def _receive_content_streamed(
+    def _receive_streamed(
         self,
         session: ProvisioningSession,
         *,
         resilience: "ResilienceConfig | None" = None,
         retransmit=None,
     ):
-        """Streamed receive: decrypt in place and inspect while draining.
+        """Receive the content: decrypt in place and inspect while draining.
 
         Records decrypt straight into one preallocated buffer
         (:meth:`SecureChannel.recv_into` — no per-record copies), and a
@@ -546,42 +455,43 @@ class CloudProvider:
         and the scan is spliced from the old one via the content-defined
         chunk diff (:func:`delta_scan`).  Either way the scan is
         *speculative*: the disassembler re-verifies it against the exact
-        parse and falls back to the phased stage on any mismatch, so the
-        verdict, wire bytes, and meter totals never depend on it.
+        parse and falls back to its whole-buffer decode on any mismatch,
+        so the verdict, wire bytes, and meter totals never depend on it.
 
         Returns ``(raw_bytes, scan_or_None)``.
         """
         runtime = session.runtime
         channel = session.channel
         assert channel is not None
-        meter = self.machine.meter
 
-        fd = 3  # the socket registered in start_session
-        header = self._recv_record(
-            runtime, channel, fd, meter,
-            resilience=resilience, retransmit=retransmit,
-        )
-        if len(header) != _CONTENT_HEADER.size:
+        def recv_into(out: bytearray, offset: int) -> int:
+            return self._recv_record(
+                runtime, channel, out, offset,
+                resilience=resilience, retransmit=retransmit,
+            )
+
+        header = bytearray(_CONTENT_HEADER.size)
+        if recv_into(header, 0) != len(header):
             raise ProtocolError("bad content header")
         total, records = _CONTENT_HEADER.unpack(header)
         if total > runtime.client_pages * PAGE_SIZE * 4:
             raise ProtocolError("announced content size exceeds any sane image")
+        if records > total:
+            raise ProtocolError(
+                f"bad content header: {records} records for {total} bytes"
+            )
         buf = bytearray(total)
         prev = self._delta_index.get(session.benchmark)
         if prev is not None and not prev.populated:
             prev = None
         # Seeded decoder faults must hit the real decode stage, not the
-        # speculative one, so the pipeline stands down and the phased
-        # disassembler (with its fault hooks) runs afterwards.
+        # speculative one, so the pipeline stands down and the
+        # disassembler's whole-buffer decode (with its fault hooks) runs.
         want_decode = not _faults.wants("x86.decoder")
         pipeline = StreamingPipeline(buf, decode=want_decode and prev is None)
         received = 0
         for _ in range(records):
-            n = self._recv_record_into(
-                runtime, channel, fd, meter, buf, received,
-                resilience=resilience, retransmit=retransmit,
-            )
-            received += n
+            received += recv_into(buf, received)
             pipeline.advance(received)
         if received != total:
             raise ProtocolError(
@@ -604,26 +514,36 @@ class CloudProvider:
             scan.delta = index.memo
         return raw, scan
 
-    def _recv_record_into(
+    def _recv_record(
         self,
         runtime: EnclaveRuntime,
         channel: SecureChannel,
-        fd: int,
-        meter: CycleMeter,
         out: bytearray,
         offset: int,
         *,
         resilience: "ResilienceConfig | None" = None,
         retransmit=None,
     ) -> int:
-        # Mirror of _recv_record (same trampoline, charges, and ARQ) that
-        # decrypts directly into the shared receive buffer.
+        """Receive one record into *out* at *offset*; returns its length.
+
+        Socket I/O exits the enclave (trampoline); decryption happens
+        back inside.  The AES work is charged per 16-byte block.
+
+        With a ResilienceConfig and a retransmit callback, a corrupt or
+        missing record triggers bounded ARQ (retransmit-on-error) rounds:
+        flush the broken stream, exponential backoff on the shared clock,
+        ask the peer to rewind its resend window to the expected sequence
+        number.  An overrun is the peer's own content, so it is never
+        retried.
+        """
         attempt = 0
         while True:
             try:
                 fault_hook("core.provisioning.record", error=ProtocolError)
                 n = channel.recv_into(out, offset)
                 break
+            except OverrunError:
+                raise
             except (CryptoError, NetError, ProtocolError):
                 if (
                     resilience is None
@@ -638,7 +558,7 @@ class CloudProvider:
                 channel.drain_pending()
                 retransmit(channel.expected_recv_seq)
         self.host.trampoline(runtime)
-        meter.charge("aes_block", max(n // 16, 1))
+        self.machine.meter.charge("aes_block", max(n // 16, 1))
         return n
 
 
@@ -652,21 +572,15 @@ class EnclaveClient:
         policies: PolicyRegistry,
         rng: HmacDrbg | None = None,
         benchmark: str = "client",
-        optimized: bool = True,
-        streaming: bool = False,
+        streaming: bool = True,
     ) -> None:
+        """*streaming* accepts only ``True``, as on :class:`CloudProvider`;
+        the keyword goes once the benchmark stops passing it."""
+        _require_streaming(streaming)
         self.binary = binary
         self.policies = policies
         self.rng = rng or HmacDrbg(b"enclave-client")
         self.benchmark = benchmark
-        #: ``False`` runs the frozen reference crypto end to end on the
-        #: client side (channel records + full MRENCLAVE replay)
-        self.optimized = optimized
-        #: streamed send: emit each record as soon as it is encrypted
-        #: instead of buffering the whole keystream pass up front, and
-        #: replay MRENCLAVE through the hashlib-backed measurement.
-        #: Record boundaries and wire bytes are identical either way.
-        self.streaming = streaming
         self.channel: SecureChannel | None = None
         self.verdict: ComplianceReport | None = None
 
@@ -689,8 +603,6 @@ class EnclaveClient:
             heap_pages=heap_pages,
             client_pages=client_pages,
             enclave_pages=enclave_pages,
-            use_cache=self.optimized,
-            fast=self.streaming,
         )
         verify_quote(
             quote, device_key,
@@ -702,7 +614,6 @@ class EnclaveClient:
         self.channel, _pub = client_handshake(
             sock, self.rng.fork(b"channel"),
             expected_fingerprint=attested_fingerprint,
-            optimized=self.optimized,
         )
 
     def send_content(self) -> None:
@@ -718,20 +629,12 @@ class EnclaveClient:
             for i in range(0, len(self.binary), PAGE_SIZE)
         ]
         self.channel.send(_CONTENT_HEADER.pack(len(self.binary), len(records)))
-        if self.streaming:
-            # Emit each record the moment it is encrypted: the provider's
-            # pipeline starts decoding while later records are still being
-            # sealed.  Per-record keystream warming reuses the same memo
-            # ranges the batched pass would, so the ciphertext — and hence
-            # the pinned wire transcript — is byte-identical.
-            for record in records:
-                self.channel.warm_send_keystream([len(record)])
-                self.channel.send(record)
-            return
-        # One batched keystream pass covers the whole stream (a no-op on
-        # reference-mode channels).
-        self.channel.warm_send_keystream([len(r) for r in records])
+        # Emit each record the moment it is encrypted: the provider's
+        # pipeline starts decoding while later records are still being
+        # sealed.  Each warmed keystream lands in the process-wide memo,
+        # where the provider's decrypt of the same record finds it.
         for record in records:
+            self.channel.warm_send_keystream([len(record)])
             self.channel.send(record)
 
     def retransmit(self, from_seq: int) -> int:
@@ -822,6 +725,14 @@ def _provision_once(
         runtime=session.runtime if accepted else None,
         client_verdict=client_verdict,
     )
+
+
+def _require_streaming(streaming) -> None:
+    if streaming is not True:
+        raise ValueError(
+            f"streaming={streaming!r}: the streamed receive is the only "
+            "provisioning path"
+        )
 
 
 def _align_page(vaddr: int) -> int:

@@ -12,7 +12,8 @@ Two pieces the streamed receive path composes:
   context need (offset index, branch/terminator indices, call-site lists)
   are already done.  The pipeline is *speculative and fail-safe*: the
   disassembler verifies the scanned bytes against the exactly-parsed image
-  and falls back to the phased path on any mismatch or decode error.
+  and falls back to its whole-buffer decode on any mismatch or decode
+  error.
 
 * Delta re-inspection — :func:`cdc_chunks` content-defined chunking over
   the text, :class:`DeltaIndex` remembering the previous version's chunk
@@ -23,7 +24,7 @@ Two pieces the streamed receive path composes:
   check read outside them).  An updated binary re-pays decode and the
   super-linear policy scan only for the functions that changed, while the
   wire transcript, MRENCLAVE, verdict bytes, and meter totals stay exactly
-  those of a cold phased run.
+  those of a cold run.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ into ~80 Python operations per *batch*, which is what lets pure Python
 stream an Nginx-sized binary through the channel in well under a second.
 
 Everything here is byte-identical to the frozen oracle in
-:mod:`repro.crypto.ref`; the test suite and
-``benchmarks/bench_provisioning.py`` enforce that, on top of the FIPS-197
-known-answer vectors.
+:mod:`repro.crypto.ref`; the test suite enforces that, on top of the
+FIPS-197 known-answer vectors.
 """
 
 from __future__ import annotations
@@ -544,7 +543,7 @@ def ctr_xor_into(
 ) -> int:
     """:func:`ctr_xor` writing the result into *out* at *out_offset*.
 
-    The streamed receive path decrypts each record straight into the
+    The provisioning receive path decrypts each record straight into the
     preallocated content buffer, skipping both the intermediate plaintext
     ``bytes`` object and the final join copy.  Keystream sourcing (memo,
     segmenting, counters) is shared with :func:`ctr_xor`, so the decrypted

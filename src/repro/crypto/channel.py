@@ -16,26 +16,22 @@ Both endpoints share the :class:`SecureChannel` record layer; the handshake
 helpers :func:`server_handshake` / :func:`client_handshake` run the key
 exchange over a :class:`~repro.net.SimSocket`.
 
-The record layer has two modes producing byte-identical wire traffic:
-``optimized=True`` (the default) holds per-direction expanded AES
-schedules and HMAC midstates for the whole session and assembles records
-from memoryviews; ``optimized=False`` re-derives everything per record
-through the frozen :mod:`repro.crypto.ref` oracles — the pre-overhaul
-cost model, kept as the differential baseline.
+The record layer holds per-direction expanded AES schedules and HMAC
+midstates for the whole session and assembles records from memoryviews.
+Its records decrypt and verify under the frozen :mod:`repro.crypto.ref`
+oracles (``tests/test_crypto_fastpath.py``).
 """
 
 from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 
-from ..errors import CryptoError, ProtocolError
+from ..errors import CryptoError, OverrunError, ProtocolError
 from ..faults.hooks import DROP, fault_hook
 from ..net import SimSocket
 from .aes import _MEMO_MIN_BLOCKS, Aes, ctr_xor, ctr_xor_into
 from .mac import HmacDrbg, HmacKey, constant_time_eq, hmac_sha256
-from .ref import ref_aes_ctr, ref_channel_hmac
 from .rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 
 __all__ = [
@@ -56,12 +52,6 @@ _MSG_PUBKEY = b"EG-PUBKEY"
 _MSG_KEYWRAP = b"EG-KEYWRAP"
 
 
-@dataclass(frozen=True)
-class _Record:
-    seq: int
-    payload: bytes
-
-
 class SecureChannel:
     """Authenticated-encryption record layer over a :class:`SimSocket`.
 
@@ -78,30 +68,23 @@ class SecureChannel:
         session_key: bytes,
         *,
         is_server: bool,
-        optimized: bool = True,
     ) -> None:
         if len(session_key) != AES_KEY_SIZE:
             raise CryptoError(f"session key must be {AES_KEY_SIZE} bytes")
         self._sock = sock
         self._send_seq = 0
         self._recv_seq = 0
-        self.optimized = optimized
         #: (seq, plaintext payload) of the most recent sends
         self._sent_window: deque[tuple[int, bytes]] = deque(maxlen=self.RESEND_WINDOW)
         send_label, recv_label = (b"srv->cli", b"cli->srv") if is_server else (b"cli->srv", b"srv->cli")
-        self._send_key = hmac_sha256(session_key, b"enc" + send_label)
-        self._recv_key = hmac_sha256(session_key, b"enc" + recv_label)
-        self._send_mac = hmac_sha256(session_key, b"mac" + send_label)
-        self._recv_mac = hmac_sha256(session_key, b"mac" + recv_label)
         self._send_nonce = hmac_sha256(session_key, b"nonce" + send_label)[:8]
         self._recv_nonce = hmac_sha256(session_key, b"nonce" + recv_label)[:8]
         # Session-lifetime cipher state: expanded AES schedules and HMAC
-        # midstates per direction.  The reference path derives these per
-        # record instead; both emit identical bytes.
-        self._send_aes = Aes.for_key(self._send_key)
-        self._recv_aes = Aes.for_key(self._recv_key)
-        self._send_hmac = HmacKey(self._send_mac)
-        self._recv_hmac = HmacKey(self._recv_mac)
+        # midstates per direction.
+        self._send_aes = Aes.for_key(hmac_sha256(session_key, b"enc" + send_label))
+        self._recv_aes = Aes.for_key(hmac_sha256(session_key, b"enc" + recv_label))
+        self._send_hmac = HmacKey(hmac_sha256(session_key, b"mac" + send_label))
+        self._recv_hmac = HmacKey(hmac_sha256(session_key, b"mac" + recv_label))
 
     # Each record gets a disjoint CTR-counter window: 2**20 blocks (16 MiB)
     # per sequence number, far above the socket frame limit per record.
@@ -119,10 +102,8 @@ class SecureChannel:
         *lengths* are upcoming payload sizes in order.  One columnar batch
         pass covers the whole stream; the per-record keystreams land in the
         process-wide memo where this channel's sends, the peer's receives,
-        and any ARQ retransmit pick them up.  A no-op in reference mode.
+        and any ARQ retransmit pick them up.
         """
-        if not self.optimized:
-            return
         ranges = []
         seq = self._send_seq
         for i, length in enumerate(lengths):
@@ -134,18 +115,11 @@ class SecureChannel:
 
     def _transmit(self, seq: int, payload) -> None:
         header = _HDR.pack(seq, len(payload))
-        if self.optimized:
-            ciphertext = ctr_xor(
-                self._send_aes, self._send_nonce, payload,
-                initial_counter=seq * self._CTR_WINDOW,
-            )
-            tag = self._send_hmac.mac(header, ciphertext)
-        else:
-            ciphertext = ref_aes_ctr(
-                self._send_key, self._send_nonce, bytes(payload),
-                initial_counter=seq * self._CTR_WINDOW,
-            )
-            tag = ref_channel_hmac(self._send_mac, header + ciphertext)
+        ciphertext = ctr_xor(
+            self._send_aes, self._send_nonce, payload,
+            initial_counter=seq * self._CTR_WINDOW,
+        )
+        tag = self._send_hmac.mac(header, ciphertext)
         record = fault_hook(
             "crypto.channel.send", b"".join((header, ciphertext, tag)),
             error=CryptoError,
@@ -187,29 +161,7 @@ class SecureChannel:
 
     def recv(self) -> bytes:
         """Receive, verify, and decrypt one record."""
-        record = fault_hook("crypto.channel.recv", self._sock.recv(),
-                            error=CryptoError)
-        if record is DROP:
-            raise CryptoError(
-                "[fault:crypto.channel.recv:drop] record lost before receipt"
-            )
-        if len(record) < _HDR.size + TAG_SIZE:
-            raise CryptoError("record too short")
-        if not self.optimized:
-            return self._recv_reference(bytes(record))
-        view = memoryview(record)
-        header = view[:_HDR.size]
-        ciphertext = view[_HDR.size:-TAG_SIZE]
-        tag = view[-TAG_SIZE:]
-        seq, length = _HDR.unpack(header)
-        if seq != self._recv_seq:
-            raise CryptoError(f"bad sequence number: expected {self._recv_seq}, got {seq}")
-        expected = self._recv_hmac.mac(header, ciphertext)
-        if not constant_time_eq(tag, expected):
-            raise CryptoError("record MAC verification failed")
-        if length != len(ciphertext):
-            raise CryptoError("record length mismatch")
-        self._recv_seq += 1
+        seq, ciphertext = self._open_record()
         return ctr_xor(
             self._recv_aes, self._recv_nonce, ciphertext,
             initial_counter=seq * self._CTR_WINDOW,
@@ -218,15 +170,30 @@ class SecureChannel:
     def recv_into(self, out: bytearray, offset: int) -> int:
         """:meth:`recv` decrypting straight into *out* at *offset*.
 
-        The streamed provisioning loop preallocates one buffer for the
-        announced content size and lands every record's plaintext in place:
-        the session-lifetime HMAC midstates verify the record from
-        memoryviews (no header/ciphertext copies) and the CTR XOR writes
-        into the buffer, so the per-record path does zero redundant
-        copies.  Wire handling (sequence, MAC, length checks, fault hook)
-        is byte-for-byte the same as :meth:`recv`; reference-mode channels
-        fall back to :meth:`recv` plus one slice-assign.  Returns the
-        payload length.
+        The provisioning receive loop preallocates one buffer for the
+        announced content size and lands every record's plaintext in place,
+        so the per-record path does zero redundant copies.  Wire handling
+        (fault hook, sequence, MAC and length checks) is the same as
+        :meth:`recv`.  A verified record that would run past the end of
+        *out* raises :class:`OverrunError` before anything is written.
+        Returns the payload length.
+        """
+        seq, ciphertext = self._open_record()
+        if offset + len(ciphertext) > len(out):
+            raise OverrunError(
+                f"content overrun: a {len(ciphertext)}-byte record at offset "
+                f"{offset} runs past the {len(out)}-byte receive buffer"
+            )
+        return ctr_xor_into(
+            self._recv_aes, self._recv_nonce, ciphertext, out, offset,
+            initial_counter=seq * self._CTR_WINDOW,
+        )
+
+    def _open_record(self) -> tuple[int, memoryview]:
+        """Take one record off the socket and verify it.
+
+        Returns ``(seq, ciphertext)``; the header and tag are checked from
+        memoryviews against the session-lifetime HMAC midstate.
         """
         record = fault_hook("crypto.channel.recv", self._sock.recv(),
                             error=CryptoError)
@@ -236,10 +203,6 @@ class SecureChannel:
             )
         if len(record) < _HDR.size + TAG_SIZE:
             raise CryptoError("record too short")
-        if not self.optimized:
-            payload = self._recv_reference(bytes(record))
-            out[offset:offset + len(payload)] = payload
-            return len(payload)
         view = memoryview(record)
         header = view[:_HDR.size]
         ciphertext = view[_HDR.size:-TAG_SIZE]
@@ -253,29 +216,7 @@ class SecureChannel:
         if length != len(ciphertext):
             raise CryptoError("record length mismatch")
         self._recv_seq += 1
-        return ctr_xor_into(
-            self._recv_aes, self._recv_nonce, ciphertext, out, offset,
-            initial_counter=seq * self._CTR_WINDOW,
-        )
-
-    def _recv_reference(self, record: bytes) -> bytes:
-        """Reference-mode record verification (pre-overhaul per-record cost)."""
-        header = record[:_HDR.size]
-        ciphertext = record[_HDR.size:-TAG_SIZE]
-        tag = record[-TAG_SIZE:]
-        seq, length = _HDR.unpack(header)
-        if seq != self._recv_seq:
-            raise CryptoError(f"bad sequence number: expected {self._recv_seq}, got {seq}")
-        expected = ref_channel_hmac(self._recv_mac, header + ciphertext)
-        if not constant_time_eq(tag, expected):
-            raise CryptoError("record MAC verification failed")
-        if length != len(ciphertext):
-            raise CryptoError("record length mismatch")
-        self._recv_seq += 1
-        return ref_aes_ctr(
-            self._recv_key, self._recv_nonce, ciphertext,
-            initial_counter=seq * self._CTR_WINDOW,
-        )
+        return seq, ciphertext
 
 
 class ServerHandshake:
@@ -299,14 +240,12 @@ class ServerHandshake:
         *,
         rsa_bits: int = DEFAULT_RSA_BITS,
         keypair: RsaPrivateKey | None = None,
-        optimized: bool = True,
     ) -> None:
         self._sock = sock
         self._rng = rng
         self._rsa_bits = rsa_bits
         self._keypair = keypair
         self._sent = False
-        self._optimized = optimized
 
     def send_public_key(self) -> RsaPrivateKey:
         """Phase 1: generate (if needed) and transmit the ephemeral key.
@@ -337,9 +276,7 @@ class ServerHandshake:
             raise ProtocolError(
                 f"unwrapped session key has wrong size {len(session_key)}"
             )
-        return SecureChannel(
-            self._sock, session_key, is_server=True, optimized=self._optimized
-        )
+        return SecureChannel(self._sock, session_key, is_server=True)
 
 
 def client_handshake(
@@ -347,7 +284,6 @@ def client_handshake(
     rng: HmacDrbg,
     *,
     expected_fingerprint: bytes | None = None,
-    optimized: bool = True,
 ) -> tuple[SecureChannel, RsaPublicKey]:
     """Client-side handshake: receive the enclave key, wrap a fresh AES key.
 
@@ -359,17 +295,16 @@ def client_handshake(
     if not hello.startswith(_MSG_PUBKEY):
         raise ProtocolError("expected public-key message")
     body = hello[len(_MSG_PUBKEY):]
+    if len(body) < 8:
+        raise ProtocolError("malformed public-key message")
     e, n_len = struct.unpack_from(">II", body)
-    n = int.from_bytes(body[8:8 + n_len], "big")
     if len(body) != 8 + n_len:
         raise ProtocolError("malformed public-key message")
+    n = int.from_bytes(body[8:], "big")
     pub = RsaPublicKey(n=n, e=e)
     if expected_fingerprint is not None and pub.fingerprint() != expected_fingerprint:
         raise ProtocolError("enclave public key does not match attested fingerprint")
 
     session_key = rng.generate(AES_KEY_SIZE)
     sock.send(_MSG_KEYWRAP + pub.encrypt(session_key, rng))
-    return (
-        SecureChannel(sock, session_key, is_server=False, optimized=optimized),
-        pub,
-    )
+    return SecureChannel(sock, session_key, is_server=False), pub

@@ -7,11 +7,11 @@ CTR loop, the textbook SHA-256 compression loop, and the
 re-pad-every-call HMAC.  The optimized implementations in
 :mod:`repro.crypto.aes` / :mod:`~repro.crypto.sha256` /
 :mod:`~repro.crypto.mac` are required to be **byte-identical** to these
-oracles for every input; the benchmark
-(``benchmarks/bench_provisioning.py``) and the differential tests
-enforce that, and the known-answer self-check at the bottom of this file
-pins the oracles themselves to FIPS-197 / FIPS 180-4 / RFC 4231 vectors
-at import time.
+oracles for every input; the differential tests enforce that (and the
+primitive table in ``benchmarks/bench_provisioning.py`` measures the
+speed difference), and the known-answer self-check at the bottom of this
+file pins the oracles themselves to FIPS-197 / FIPS 180-4 / RFC 4231
+vectors at import time.
 
 Do not modify this module for performance.  It exists so future perf
 work always has a slow-but-obviously-correct implementation to diff
@@ -375,9 +375,9 @@ def ref_channel_hmac(key: bytes, message: bytes) -> bytes:
     """The pre-overhaul ``hmac_sha256`` verbatim: full ipad/opad key
     preparation on every call, digests delegated to :mod:`hashlib`.
 
-    This is the *cost model* the channel's reference mode replays for
-    record MACs — the pre-PR record layer hashed with C-speed digests
-    but re-prepared the key per record.  For kernel-localised
+    This is how the pre-overhaul record layer computed record MACs: it
+    hashed with C-speed digests but re-prepared the key per record.
+    Tests build reference channel records with it.  For kernel-localised
     differential checks use :func:`ref_hmac_sha256` instead.
     """
     if len(key) > BLOCK_SIZE:

@@ -4,8 +4,10 @@ EnGarde uses SHA-256 in three places: enclave measurement (EREPORT digests a
 log of enclave-initialisation activity), the library-linking policy (hashes
 of every musl-libc function), and HMAC/DRBG.  This module implements the
 compression function directly so the reproduction does not silently depend on
-OpenSSL; :class:`SHA256` is verified against :mod:`hashlib` in the test
-suite.
+OpenSSL; :class:`SHA256` is verified against :mod:`hashlib` and the frozen
+:mod:`repro.crypto.ref` loop in the test suite.  The simulated SGX
+measurement (:mod:`repro.sgx.measurement`) hashes through :mod:`hashlib`:
+it models hardware, like the MEE keystream in :mod:`repro.sgx.epc`.
 
 For bulk hashing on hot paths callers may use :func:`sha256_fast`, which
 delegates to :mod:`hashlib` (same algorithm, C speed).  Both produce

@@ -70,6 +70,13 @@ class ProtocolError(ReproError):
     """The provisioning protocol was violated (wrong message, bad state)."""
 
 
+class OverrunError(ProtocolError):
+    """An authenticated record carried content past the announced size.
+
+    The peer sent it that way, so a retransmit cannot cure it: receive
+    loops fail at once instead of asking for the record again."""
+
+
 class PolicyError(ReproError):
     """A policy module could not run (missing symbol table, bad config)."""
 

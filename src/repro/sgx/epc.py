@@ -57,17 +57,12 @@ class EpcPage:
 class Epc:
     """The EPC pool: allocation, hardware crypto, and EPCM bookkeeping."""
 
-    def __init__(
-        self, n_pages: int, hardware_key: bytes, *, lazy_zero: bool = False
-    ) -> None:
+    def __init__(self, n_pages: int, hardware_key: bytes) -> None:
         if n_pages <= 0:
             raise ValueError("EPC must have at least one page")
         self._pages = [EpcPage(i) for i in range(n_pages)]
         self._free = list(range(n_pages - 1, -1, -1))
         self._hw_key = hardware_key
-        #: defer encrypting freshly-allocated zero pages until first read;
-        #: the materialised ciphertext/MAC are the same bytes either way.
-        self._lazy_zero = lazy_zero
         # Prepared HMAC midstates for the integrity key: the MEE tags and
         # checks a page on every store/enclave read, so the per-call key
         # preparation is hoisted to construction (same tag bytes).
@@ -104,11 +99,7 @@ class Epc:
         page.owner_eid = eid
         page.vaddr = vaddr
         page.perms = PagePermissions()
-        if self._lazy_zero:
-            page._ciphertext = None  # type: ignore[assignment]
-            page._tag = b""
-        else:
-            self._store(page, b"\x00" * PAGE_SIZE)
+        _defer_zero(page)
         return page
 
     def release(self, page: EpcPage) -> None:
@@ -117,11 +108,7 @@ class Epc:
             raise SgxError(f"double free of EPC page {page.index}")
         page.owner_eid = None
         page.vaddr = None
-        if self._lazy_zero:
-            page._ciphertext = None  # type: ignore[assignment]
-            page._tag = b""
-        else:
-            self._store(page, b"\x00" * PAGE_SIZE)
+        _defer_zero(page)
         self._free.append(page.index)
 
     def page(self, index: int) -> EpcPage:
@@ -150,24 +137,23 @@ class Epc:
         self._keystream_cache[page.index] = stream
         return stream
 
+    def _store_zero(self, page: EpcPage) -> None:
+        """Seal an all-zero page (ciphertext and MAC cached per index)."""
+        cached = self._zero_ct_cache.get(page.index)
+        if cached is None:
+            ct = self._keystream(page)  # zeros XOR keystream
+            cached = (ct, self._integrity.mac(ct))
+            self._zero_ct_cache[page.index] = cached
+        page._ciphertext, page._tag = cached
+
     def _materialize(self, page: EpcPage) -> None:
-        """Encrypt the deferred all-zero content of a lazily-allocated page."""
+        """Encrypt the deferred all-zero content of a fresh or freed page."""
         if page._ciphertext is None:
-            cached = self._zero_ct_cache.get(page.index)
-            if cached is None:
-                ct = self._keystream(page)  # zeros XOR keystream
-                cached = (ct, self._integrity.mac(ct))
-                self._zero_ct_cache[page.index] = cached
-            page._ciphertext, page._tag = cached
+            self._store_zero(page)
 
     def _store(self, page: EpcPage, plaintext: bytes) -> None:
-        if plaintext == b"\x00" * PAGE_SIZE:
-            cached = self._zero_ct_cache.get(page.index)
-            if cached is None:
-                ct = self._keystream(page)  # zeros XOR keystream
-                cached = (ct, self._integrity.mac(ct))
-                self._zero_ct_cache[page.index] = cached
-            page._ciphertext, page._tag = cached
+        if plaintext == _ZERO_PAGE:
+            self._store_zero(page)
             return
         stream = self._keystream(page)
         ct = _xor(plaintext, stream)
@@ -213,6 +199,16 @@ class Epc:
             raise SgxError("EPC writes are page-granular")
         self._materialize(page)  # the zero tag must exist for detection
         page._ciphertext = data  # deliberately skips the tag update
+
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+def _defer_zero(page: EpcPage) -> None:
+    """Mark a page all-zero; it is encrypted on first access, to the
+    same ciphertext and MAC an eager store would produce."""
+    page._ciphertext = None  # type: ignore[assignment]
+    page._tag = b""
 
 
 def _xor(a: bytes, b: bytes) -> bytes:

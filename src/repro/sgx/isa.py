@@ -56,21 +56,15 @@ class SgxMachine:
         *,
         meter: CycleMeter | None = None,
         hardware_seed: bytes = b"sgx-machine-0",
-        fast: bool = False,
     ) -> None:
         self.params = params or SgxParams()
         self.meter = meter or CycleMeter()
-        #: fast build mode: hashlib-backed measurement, lazy-zero EPC pages,
-        #: single-read EEXTEND sweeps.  MRENCLAVE values, page ciphertext,
-        #: MACs, and meter charges are identical to the reference mode.
-        self.fast = fast
         # Device-unique root key; everything hardware-secret derives from it.
         self._root_key = hmac_sha256(b"sgx-root", hardware_seed)
         self._report_key = hmac_sha256(self._root_key, b"report-key")
         self.epc = Epc(
             self.params.epc_pages,
             hmac_sha256(self._root_key, b"mee-key"),
-            lazy_zero=fast,
         )
         self._paging_key = hmac_sha256(self._root_key, b"paging-key")
         self._version_array = VersionArray()
@@ -90,7 +84,7 @@ class SgxMachine:
             eid=self._next_eid,
             secs=Secs(base=base, size=size, attributes=attributes),
             epc=self.epc,
-            measurement=Measurement(fast=self.fast),
+            measurement=Measurement(),
         )
         enclave.measurement.ecreate(base, size, attributes)
         self.enclaves[enclave.eid] = enclave
@@ -145,23 +139,19 @@ class SgxMachine:
         page_type: str = "REG",
         perms: PagePermissions | None = None,
     ) -> None:
-        """EADD + the 16 EEXTENDs that measure the full page."""
+        """EADD + the 16 EEXTENDs that measure the full page.
+
+        One decrypt instead of sixteen; each chunk is still charged and
+        absorbed exactly as sixteen :meth:`eextend` calls would.
+        """
         self.eadd(enclave, vaddr, content, page_type=page_type, perms=perms)
         chunk = self.params.eextend_chunk
-        if self.fast:
-            # One decrypt instead of sixteen; each chunk is still charged
-            # and absorbed exactly as the per-EEXTEND path would.
-            self._check_pending(enclave, "EEXTEND")
-            page = enclave.pages[vaddr]
-            plain = self.epc.read_plaintext(page, eid=enclave.eid)
-            eextend = enclave.measurement.eextend
-            charge_sgx = self.meter.charge_sgx
-            for off in range(0, PAGE_SIZE, chunk):
-                charge_sgx()
-                eextend(vaddr + off, plain[off:off + chunk])
-            return
+        plain = self.epc.read_plaintext(enclave.pages[vaddr], eid=enclave.eid)
+        eextend = enclave.measurement.eextend
+        charge_sgx = self.meter.charge_sgx
         for off in range(0, PAGE_SIZE, chunk):
-            self.eextend(enclave, vaddr + off)
+            charge_sgx()
+            eextend(vaddr + off, plain[off:off + chunk])
 
     def einit(self, enclave: Enclave) -> bytes:
         """EINIT: finalise the measurement; enclave becomes enterable."""

@@ -6,6 +6,10 @@ shape, each EADD contributes the page's address and security attributes,
 and EEXTEND contributes the page *contents* in 256-byte chunks.  EINIT
 finalises the digest.  Identical build sequences therefore yield identical
 MRENCLAVE values — the property attestation relies on.
+
+The digest runs on :mod:`hashlib`: like the MEE keystream in
+:mod:`repro.sgx.epc`, the measurement is simulated *hardware*, outside
+the from-scratch rule for the paper's software crypto.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from ..crypto.sha256 import SHA256
 from ..errors import SgxError
 
 __all__ = ["Measurement"]
@@ -25,19 +28,11 @@ _PADDED_TAGS = {
 
 
 class Measurement:
-    """Incremental MRENCLAVE builder mirroring the SGX measurement log.
+    """Incremental MRENCLAVE digest mirroring the SGX measurement log."""
 
-    With ``fast=True`` the digest is computed by :mod:`hashlib` over the
-    exact same absorbed byte sequence (length prefix, padded tag, payload)
-    and the human-readable event log is suppressed; MRENCLAVE values are
-    byte-identical to the reference mode.
-    """
-
-    def __init__(self, fast: bool = False) -> None:
-        self.fast = fast
-        self._hash = hashlib.sha256() if fast else SHA256()
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
         self._final: bytes | None = None
-        self.log: list[str] = []
 
     @property
     def finalized(self) -> bool:
@@ -57,28 +52,20 @@ class Measurement:
 
     def ecreate(self, base: int, size: int, attributes: int) -> None:
         self._absorb(b"ECREATE", struct.pack("<QQQ", base, size, attributes))
-        if not self.fast:
-            self.log.append(f"ECREATE base={base:#x} size={size:#x}")
 
     def eadd(self, vaddr: int, page_type: str, perms: str) -> None:
         self._absorb(
             b"EADD",
             struct.pack("<Q", vaddr), page_type.encode(), perms.encode(),
         )
-        if not self.fast:
-            self.log.append(f"EADD vaddr={vaddr:#x} type={page_type} perms={perms}")
 
     def eextend(self, vaddr: int, chunk: bytes) -> None:
         self._absorb(b"EEXTEND", struct.pack("<Q", vaddr), chunk)
-        if not self.fast:
-            self.log.append(f"EEXTEND vaddr={vaddr:#x} len={len(chunk)}")
 
     def finalize(self) -> bytes:
         """EINIT: freeze and return MRENCLAVE."""
         if self._final is None:
             self._final = self._hash.digest()
-            if not self.fast:
-                self.log.append("EINIT")
         return self._final
 
     @property

@@ -97,6 +97,21 @@ def small_params():
     return SgxParams(epc_pages=4096, heap_initial_pages=64)
 
 
+def meter_breakdown(meter) -> dict:
+    """Per-phase (and total) cycles, SGX count and event counts."""
+
+    def one(phase):
+        return {
+            "cycles": phase.cycles,
+            "events": dict(sorted(phase.events.items())),
+            "sgx_instructions": phase.sgx_instructions,
+        }
+
+    out = {name: one(meter.phases[name]) for name in sorted(meter.phases)}
+    out["total"] = one(meter.total)
+    return out
+
+
 def small_provider(policies, **overrides):
     """A CloudProvider with test-friendly sizes."""
     from repro.core import CloudProvider

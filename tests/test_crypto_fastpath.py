@@ -7,13 +7,14 @@ requirement that every output byte stays identical to the frozen
 pre-overhaul implementations now living in :mod:`repro.crypto.ref`.
 These tests pin that identity: NIST SP 800-38A counter-mode vectors,
 counter windows crossing the 2^32 word boundary, the process-wide
-keystream memo, SHA-256 midstate resumption, and the channel's two
-record-layer modes sharing one wire format.
+keystream memo, SHA-256 midstate resumption, and the channel's record
+layer sharing one wire format with the reference kernels.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from repro.crypto.ref import (
     RefAes,
     RefSHA256,
     ref_aes_ctr,
+    ref_channel_hmac,
     ref_hmac_sha256,
     ref_sha256,
 )
@@ -211,55 +213,66 @@ class TestSha256Midstate:
 
 
 class TestChannelModesShareOneWire:
-    """optimized=True and optimized=False are the same wire protocol."""
+    """The record layer and the reference kernels share one wire.
+
+    Records a :class:`SecureChannel` sends decrypt and verify under
+    ``ref_aes_ctr`` / ``ref_channel_hmac``, and a channel accepts records
+    built with those two functions — with every per-direction key derived
+    through the reference HMAC, independently of the channel.
+    """
 
     KEY = bytes(range(100, 132))
+    PAYLOADS = [b"", b"x", bytes(range(256)) * 16, b"tail" * 333]
 
-    @staticmethod
-    def _frames(sock):
-        return [bytes(f) for f in sock._inbox]
+    @classmethod
+    def _ref_keys(cls, label: bytes):
+        return (
+            ref_hmac_sha256(cls.KEY, b"enc" + label),
+            ref_hmac_sha256(cls.KEY, b"nonce" + label)[:8],
+            ref_hmac_sha256(cls.KEY, b"mac" + label),
+        )
 
-    def _run(self, optimized: bool, payloads):
-        pair = SocketPair("a", "b")
-        sender = SecureChannel(
-            pair.left, self.KEY, is_server=False, optimized=optimized
-        )
-        receiver = SecureChannel(
-            pair.right, self.KEY, is_server=True, optimized=optimized
-        )
-        if optimized:
-            sender.warm_send_keystream([len(p) for p in payloads])
-        wire = []
-        plain = []
-        for payload in payloads:
-            sender.send(payload)
-            wire.extend(self._frames(pair.right))
-            plain.append(receiver.recv())
-        return wire, plain
+    @classmethod
+    def _ref_record(cls, label: bytes, seq: int, payload: bytes) -> bytes:
+        enc, nonce, mac = cls._ref_keys(label)
+        header = struct.pack(">QI", seq, len(payload))
+        body = ref_aes_ctr(enc, nonce, payload, initial_counter=seq << 20)
+        return header + body + ref_channel_hmac(mac, header + body)
 
     def test_wire_bytes_identical_across_modes(self):
-        payloads = [b"", b"x", bytes(range(256)) * 16, b"tail" * 333]
-        fast_wire, fast_plain = self._run(True, payloads)
-        ref_wire, ref_plain = self._run(False, payloads)
-        assert fast_wire == ref_wire
-        assert fast_plain == ref_plain == payloads
+        """Sent records verify and decrypt under the reference kernels."""
+        pair = SocketPair("a", "b")
+        sender = SecureChannel(pair.left, self.KEY, is_server=False)
+        sender.warm_send_keystream([len(p) for p in self.PAYLOADS])
+        enc, nonce, mac = self._ref_keys(b"cli->srv")
+        for seq, payload in enumerate(self.PAYLOADS):
+            sender.send(payload)
+            record = pair.right.recv()
+            header, body, tag = record[:12], record[12:-32], record[-32:]
+            assert struct.unpack(">QI", header) == (seq, len(payload))
+            assert tag == ref_channel_hmac(mac, header + body)
+            assert ref_aes_ctr(
+                enc, nonce, body, initial_counter=seq << 20
+            ) == payload
+            assert record == self._ref_record(b"cli->srv", seq, payload)
 
     def test_cross_mode_interop(self):
-        """A reference receiver accepts an optimized sender's records."""
+        """A channel accepts records built with the reference kernels."""
         pair = SocketPair("a", "b")
-        fast = SecureChannel(pair.left, self.KEY, is_server=False,
-                             optimized=True)
-        ref = SecureChannel(pair.right, self.KEY, is_server=True,
-                            optimized=False)
-        for payload in (b"hello", bytes(5000), b"z" * 17):
-            fast.send(payload)
-            assert ref.recv() == payload
+        receiver = SecureChannel(pair.right, self.KEY, is_server=True)
+        for seq, payload in enumerate(self.PAYLOADS):
+            pair.left.send(self._ref_record(b"cli->srv", seq, payload))
+            assert receiver.recv() == payload
+        out = bytearray(64)
+        pair.left.send(self._ref_record(b"cli->srv", len(self.PAYLOADS), b"q" * 40))
+        assert receiver.recv_into(out, 24) == 40
+        assert out == bytes(24) + b"q" * 40
 
     def test_record_tag_matches_reference_hmac(self):
         pair = SocketPair("a", "b")
-        chan = SecureChannel(pair.left, self.KEY, is_server=False,
-                             optimized=True)
+        chan = SecureChannel(pair.left, self.KEY, is_server=False)
         chan.send(b"attested payload")
         record = pair.right._inbox[0][4:]  # strip the socket length prefix
         header, body, tag = record[:12], record[12:-32], record[-32:]
-        assert tag == ref_hmac_sha256(chan._send_mac, header + body)
+        _enc, _nonce, mac = self._ref_keys(b"cli->srv")
+        assert tag == ref_hmac_sha256(mac, header + body)

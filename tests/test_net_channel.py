@@ -108,6 +108,15 @@ class TestHandshake:
                 expected_fingerprint=other.public_key.fingerprint(),
             )
 
+    @pytest.mark.parametrize("body", [b"", b"\x00\x01\x00\x01"])
+    def test_short_public_key_message_is_a_protocol_error(self, body):
+        """A public-key message too short for its (e, n_len) header is a
+        typed rejection, not a ``struct.error``."""
+        pair = SocketPair()
+        pair.right.send(b"EG-PUBKEY" + body)
+        with pytest.raises(ProtocolError, match="malformed public-key"):
+            client_handshake(pair.left, HmacDrbg(b"cli"))
+
     def test_preprovided_keypair(self):
         keypair = generate_keypair(512, HmacDrbg(b"pre"))
         pair = SocketPair()

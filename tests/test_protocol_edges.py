@@ -7,10 +7,27 @@ import struct
 import pytest
 
 from repro.core import EnclaveClient, PolicyRegistry, provision
-from repro.core.provisioning import _CONTENT_HEADER
-from repro.errors import ProtocolError
+from repro.core.provisioning import _CONTENT_HEADER, ResilienceConfig
+from repro.crypto import channel as channel_module
+from repro.errors import OverrunError, ProtocolError
+from repro.faults import FakeClock
 from repro.net import SocketPair
 from tests.conftest import small_provider
+
+
+class _OverSender(EnclaveClient):
+    """Announces 4 KiB, then sends twenty 64 KiB records."""
+
+    retransmits = 0
+
+    def send_content(self):
+        self.channel.send(_CONTENT_HEADER.pack(4096, 20))
+        for _ in range(20):
+            self.channel.send(bytes(64 * 1024))
+
+    def retransmit(self, from_seq):
+        self.retransmits += 1
+        return super().retransmit(from_seq)
 
 
 class TestContentFraming:
@@ -50,6 +67,55 @@ class TestContentFraming:
         provider, session = self._session_with_channel(all_policies, build)
         with pytest.raises(ProtocolError, match="header"):
             provider.run_engarde(session)
+
+    def test_more_records_than_bytes_rejected(self, all_policies):
+        def build(channel):
+            channel.send(_CONTENT_HEADER.pack(10, 11))
+
+        provider, session = self._session_with_channel(all_policies, build)
+        with pytest.raises(ProtocolError, match="11 records for 10 bytes"):
+            provider.run_engarde(session)
+
+    def test_oversend_fails_before_the_buffer_grows(
+        self, all_policies, monkeypatch
+    ):
+        """Content past the announced size fails on the first record that
+        would overrun it, before that record is written."""
+        buffers = []
+        original = channel_module.ctr_xor_into
+
+        def spy(cipher, nonce, data, out, offset, **kwargs):
+            n = original(cipher, nonce, data, out, offset, **kwargs)
+            buffers.append(len(out))
+            return n
+
+        monkeypatch.setattr(channel_module, "ctr_xor_into", spy)
+
+        def build(channel):
+            channel.send(_CONTENT_HEADER.pack(4096, 3))
+            for _ in range(3):
+                channel.send(b"y" * 2048)
+
+        provider, session = self._session_with_channel(all_policies, build)
+        with pytest.raises(OverrunError, match="content overrun"):
+            provider.run_engarde(session)
+        # the header and two records were written; the third never was
+        assert buffers == [_CONTENT_HEADER.size, 4096, 4096]
+        assert session.channel.expected_recv_seq == 4
+
+    def test_resilient_oversend_is_a_typed_reject(
+        self, all_policies, demo_instrumented
+    ):
+        provider = small_provider(all_policies)
+        client = _OverSender(demo_instrumented.elf, policies=all_policies)
+        result = provision(
+            provider, client,
+            resilience=ResilienceConfig(clock=FakeClock()),
+        )
+        assert not result.accepted
+        assert result.report.rejected_stage == "protocol"
+        assert result.error.startswith("OverrunError: content overrun")
+        assert client.retransmits == 0  # the peer's own bytes: no ARQ
 
     def test_finalize_before_run_rejected(self, all_policies):
         provider = small_provider(all_policies)

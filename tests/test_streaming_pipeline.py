@@ -8,9 +8,13 @@ Four battle fronts, matching the streamed receive path's promises:
   scalar gear walks, and the dirty-range differ localises edits;
 * delta re-inspection **fails closed** — a moved or changed function
   never reuses a stale verdict, and a swapped binary is re-inspected;
-* the streamed provisioning mode is a pure wall-clock optimisation:
-  wire transcript, verdict bytes, and meter totals are byte/tick
-  identical to the frozen phased oracle, including under seeded faults.
+* a delta re-inspection gives the verdict bytes and per-phase meter
+  charges of a cold run of the same binary, and the streamed receive
+  fails closed (or recovers through ARQ) under seeded channel faults.
+
+The streamed receive's wire transcript, MRENCLAVE and meter breakdown
+are pinned in ``tests/fixtures/provisioning_wire.json``
+(``tests/test_provisioning_wire.py``).
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ from repro.core.streaming import (
 )
 from repro.elf import read_elf
 from repro.faults import FakeClock, FaultPlan, FaultSpec, injected
-from repro.net import sock as sock_module
 from repro.x86 import iter_decode
-from tests.conftest import small_provider
+from tests.conftest import meter_breakdown, small_provider
 
 
 def _blob(n: int, seed: bytes = b"streaming-test") -> bytes:
@@ -395,69 +398,8 @@ class TestDeltaScan:
 
 
 # --------------------------------------------------------------------------
-# Streamed provisioning differential: the frozen-oracle pins
+# Delta provisioning and fault injection through the provider
 # --------------------------------------------------------------------------
-
-
-def _record_run(monkeypatch, *, streaming: bool, policies, binary,
-                benchmark: str = "client"):
-    """One provisioning run with every socket frame recorded."""
-    frames: list[tuple[str, bytes]] = []
-    original_send = sock_module.SimSocket.send
-
-    def recording_send(self, message):
-        frames.append((self.name, bytes(message)))
-        return original_send(self, message)
-
-    monkeypatch.setattr(sock_module.SimSocket, "send", recording_send)
-    provider = small_provider(policies, streaming=streaming)
-    client = EnclaveClient(
-        binary, policies=policies, benchmark=benchmark, streaming=streaming,
-    )
-    result = provision(provider, client)
-    monkeypatch.undo()
-    return frames, result
-
-
-class TestStreamedDifferential:
-    def test_wire_verdict_and_meter_identical(
-        self, monkeypatch, all_policies, demo_instrumented
-    ):
-        phased_frames, phased = _record_run(
-            monkeypatch, streaming=False,
-            policies=all_policies, binary=demo_instrumented.elf,
-        )
-        streamed_frames, streamed = _record_run(
-            monkeypatch, streaming=True,
-            policies=all_policies, binary=demo_instrumented.elf,
-        )
-        assert streamed_frames == phased_frames, \
-            "streamed mode changed bytes on the wire"
-        assert streamed.accepted and phased.accepted
-        assert streamed.report.serialize() == phased.report.serialize()
-        assert streamed.client_verdict == phased.client_verdict
-        for phase in ("disassembly", "policy", "loading"):
-            assert streamed.meter.phase_cycles(phase) == \
-                phased.meter.phase_cycles(phase), phase
-        assert streamed.meter.total_cycles == phased.meter.total_cycles
-        # the speculative scan was adopted, not just tolerated
-        assert streamed.outcome.disassembly.scan is not None
-
-    def test_rejection_differential(
-        self, monkeypatch, all_policies, demo_plain
-    ):
-        phased_frames, phased = _record_run(
-            monkeypatch, streaming=False,
-            policies=all_policies, binary=demo_plain.elf,
-        )
-        streamed_frames, streamed = _record_run(
-            monkeypatch, streaming=True,
-            policies=all_policies, binary=demo_plain.elf,
-        )
-        assert not streamed.accepted and not phased.accepted
-        assert streamed_frames == phased_frames
-        assert streamed.report.serialize() == phased.report.serialize()
-        assert streamed.meter.total_cycles == phased.meter.total_cycles
 
 
 class TestDeltaProvisioning:
@@ -473,32 +415,42 @@ class TestDeltaProvisioning:
                 return bytes(mutated)
         raise AssertionError("no mov imm32 found in the demo text")
 
-    def test_updated_binary_verdict_matches_phased_oracle(
-        self, all_policies, demo_instrumented
+    def test_delta_run_matches_cold_run(
+        self, monkeypatch, all_policies, demo_instrumented
     ):
+        """v2 after v1 rides the delta index; v2 on a provider that has
+        never seen the label is inspected cold.  Same report bytes, same
+        per-phase meter charges."""
+        from repro.core import provisioning as prov_module
+
         v1 = demo_instrumented.elf
         v2 = self._v2_one_immediate_flipped(v1)
-        streamed = small_provider(all_policies, streaming=True)
-        phased = small_provider(all_policies)
-        runs = {}
-        for name, provider, flag in (
-            ("streamed", streamed, True), ("phased", phased, False),
-        ):
-            for version, raw in (("v1", v1), ("v2", v2)):
-                client = EnclaveClient(
-                    raw, policies=all_policies, streaming=flag,
-                )
-                runs[(name, version)] = provision(provider, client)
-        for version in ("v1", "v2"):
-            a, b = runs[("streamed", version)], runs[("phased", version)]
-            assert a.accepted == b.accepted
-            assert a.report.serialize() == b.report.serialize()
-        # cumulative provider meters agree after the same two runs, so the
-        # delta path charged tick-identically to the phased oracle
-        assert streamed.machine.meter.total_cycles == \
-            phased.machine.meter.total_cycles
-        # and v2 actually rode the delta path (scan adopted on both runs)
-        assert runs[("streamed", "v2")].outcome.disassembly.scan is not None
+        spliced = []
+
+        def spy(index, text):
+            scan = st.delta_scan(index, text)
+            spliced.append(scan)
+            return scan
+
+        monkeypatch.setattr(prov_module, "delta_scan", spy)
+        warm = small_provider(all_policies)
+        assert provision(warm, EnclaveClient(v1, policies=all_policies)).accepted
+        assert not spliced
+        warm.machine.meter.reset()  # count v2's charges alone
+        delta = provision(warm, EnclaveClient(v2, policies=all_policies))
+        # the delta index spliced v2's scan and the disassembler adopted it
+        assert len(spliced) == 1 and spliced[0] is not None
+        assert delta.outcome.disassembly.scan is spliced[0]
+
+        cold = provision(
+            small_provider(all_policies),
+            EnclaveClient(v2, policies=all_policies),
+        )
+        assert len(spliced) == 1
+        assert delta.accepted and cold.accepted
+        assert delta.report.serialize() == cold.report.serialize()
+        assert delta.client_verdict == cold.client_verdict
+        assert meter_breakdown(delta.meter) == meter_breakdown(cold.meter)
 
     def test_swapped_binary_is_reinspected_not_stale_accepted(
         self, all_policies, demo_instrumented, demo_plain
@@ -506,13 +458,13 @@ class TestDeltaProvisioning:
         """After an ACCEPT of v1, provisioning a *different* (and
         non-compliant) binary under the same benchmark label must be
         re-inspected and rejected — never served a stale verdict."""
-        provider = small_provider(all_policies, streaming=True)
+        provider = small_provider(all_policies)
         first = provision(provider, EnclaveClient(
-            demo_instrumented.elf, policies=all_policies, streaming=True,
+            demo_instrumented.elf, policies=all_policies,
         ))
         assert first.accepted
         second = provision(provider, EnclaveClient(
-            demo_plain.elf, policies=all_policies, streaming=True,
+            demo_plain.elf, policies=all_policies,
         ))
         assert not second.accepted
         assert second.report.policies_failed
@@ -522,17 +474,17 @@ class TestStreamedFaultInjection:
     def test_seeded_plan_over_streamed_path_fails_closed(
         self, all_policies, demo_instrumented
     ):
-        """Chaos parity for the streamed receive path: a persistent
-        channel fault ends in a typed REJECT, never a false ACCEPT."""
+        """A persistent channel fault on the streamed receive ends in a
+        typed REJECT, never a false ACCEPT."""
         clock = FakeClock()
         plan = FaultPlan(
             [FaultSpec(hook="crypto.channel.recv", kind="bitflip",
                        max_triggers=None)],
             clock=clock, hang_seconds=10.0,
         )
-        provider = small_provider(all_policies, streaming=True)
+        provider = small_provider(all_policies)
         client = EnclaveClient(
-            demo_instrumented.elf, policies=all_policies, streaming=True,
+            demo_instrumented.elf, policies=all_policies,
         )
         with injected(plan):
             result = provision(
@@ -552,9 +504,9 @@ class TestStreamedFaultInjection:
                        after=3, max_triggers=1)],
             clock=clock,
         )
-        provider = small_provider(all_policies, streaming=True)
+        provider = small_provider(all_policies)
         client = EnclaveClient(
-            demo_instrumented.elf, policies=all_policies, streaming=True,
+            demo_instrumented.elf, policies=all_policies,
         )
         with injected(plan):
             result = provision(
