@@ -3,11 +3,14 @@ reference.
 
 Not a paper figure — this measures the throughput of the kernels under
 the provisioning protocol (SHA-256 compression, batched AES-CTR, HMAC
-midstates, RSA-CRT) against the frozen pre-overhaul implementations in
+midstates, RSA-CRT, RSA keygen) against the frozen implementations in
 ``repro.crypto.ref``, and checks on the same inputs that each kernel's
-output equals the reference's.  End-to-end provisioning is measured by
-the repo benchmark (``perfbench/``, workloads ``provision-cold`` and
-``provision-update``).
+output equals the reference's.  The keygen row times RSA-1024
+``generate_keypair`` on ``generate_prime`` against the same keygen on
+``ref_generate_prime``; it is identical only if every seed gives the
+same (n, d) and leaves the DRBG in the same state.  End-to-end
+provisioning is measured by the repo benchmark (``perfbench/``,
+workloads ``provision-cold`` and ``provision-update``).
 
 Results land in ``BENCH_provisioning.json`` (uploaded as a CI artifact).
 
@@ -25,17 +28,19 @@ import os
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 _ROOT = Path(__file__).resolve().parent.parent
 if str(_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_ROOT / "src"))
 
-from repro.crypto import HmacDrbg
+from repro.crypto import HmacDrbg, rsa
 from repro.crypto.aes import Aes, ctr_xor
 from repro.crypto.mac import hmac_key
 from repro.crypto.ref import (
     ref_aes_ctr,
     ref_channel_hmac,
+    ref_generate_prime,
     ref_sha256,
 )
 from repro.crypto.rsa import generate_keypair
@@ -61,6 +66,7 @@ def bench_primitives(*, quick: bool) -> list[dict]:
     ctr_bytes = (mib // 4) if quick else mib
     hmac_iters = 2000 if quick else 10000
     rsa_iters = 20 if quick else 100
+    keygen_seeds = 4 if quick else 10
 
     sha_data = bytes(range(256)) * (sha_bytes // 256)
     sha_opt = _best_rate(
@@ -122,6 +128,27 @@ def bench_primitives(*, quick: bool) -> list[dict]:
     )
     rsa_same = priv._private_op(c) == pow(c, priv.d, priv.n)
 
+    seeds = [b"bench-keygen-%d" % i for i in range(keygen_seeds)]
+
+    def keygen_all(results: dict) -> None:
+        for seed in seeds:
+            rng = HmacDrbg(seed)
+            key = generate_keypair(1024, rng)
+            results[seed] = (
+                key.n, key.d, rng._key, rng._value, rng._reseed_counter
+            )
+
+    keygen_out: dict = {}
+    keygen_opt = _best_rate(
+        lambda: keygen_all(keygen_out), len(seeds), repeats=repeats
+    )
+    ref_keygen_out: dict = {}
+    with mock.patch.object(rsa, "generate_prime", ref_generate_prime):
+        keygen_ref = _best_rate(
+            lambda: keygen_all(ref_keygen_out), len(seeds), repeats=repeats
+        )
+    keygen_same = keygen_out == ref_keygen_out
+
     def cell(name, unit, opt, ref, identical):
         return {
             "primitive": name, "unit": unit,
@@ -135,6 +162,8 @@ def bench_primitives(*, quick: bool) -> list[dict]:
         cell("aes_ctr", "MiB/s", ctr_opt, ctr_ref, ctr_same),
         cell("hmac_sha256_4k", "records/s", hmac_opt, hmac_ref, hmac_same),
         cell("rsa1024_private", "ops/s", rsa_opt, rsa_ref, rsa_same),
+        cell("rsa1024_keygen", "keypairs/s", keygen_opt, keygen_ref,
+             keygen_same),
     ]
 
 
@@ -162,12 +191,12 @@ def divergences(result: dict) -> list[str]:
 
 def render_table(result: dict) -> str:
     rows = [
-        f"{'primitive':<22} {'optimized':>12} {'reference':>12} "
+        f"{'primitive':<28} {'optimized':>12} {'reference':>12} "
         f"{'speedup':>8}",
     ]
     for cell in result["primitives"]:
         rows.append(
-            f"{cell['primitive'] + ' (' + cell['unit'] + ')':<22} "
+            f"{cell['primitive'] + ' (' + cell['unit'] + ')':<28} "
             f"{cell['optimized']:>12,.2f} {cell['reference']:>12,.2f} "
             f"{cell['speedup']:>7.2f}x"
         )

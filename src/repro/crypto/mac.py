@@ -56,8 +56,13 @@ _KEY_CACHE_LOCK = threading.Lock()
 
 
 def hmac_key(key: bytes) -> HmacKey:
-    """Return a (cached) prepared key; safe because keystreams are not —
-    only midstates of public-structure padding blocks are stored."""
+    """Return a prepared key from a process-wide LRU of 256 entries.
+
+    The LRU is keyed by the raw key bytes, so a key passed here stays
+    reachable from this module until it is evicted.  Use it for keys
+    that are MACed under many times; code that must be able to erase a
+    key (the DRBG's overwritten state) holds its own :class:`HmacKey`.
+    """
     key = bytes(key)
     with _KEY_CACHE_LOCK:
         prepared = _KEY_CACHE.get(key)
@@ -104,10 +109,17 @@ class HmacDrbg:
     RESEED_INTERVAL = 1 << 32
 
     def __init__(self, seed: bytes, personalization: bytes = b"") -> None:
-        self._key = b"\x00" * DIGEST_SIZE
+        self._rekey(b"\x00" * DIGEST_SIZE)
         self._value = b"\x01" * DIGEST_SIZE
         self._reseed_counter = 1
         self._update(seed + personalization)
+
+    def _rekey(self, key: bytes) -> None:
+        # The prepared key is this instance's own, never the shared
+        # hmac_key LRU: replacing it here is what drops the old key, as
+        # SP 800-90A's backtracking resistance assumes.
+        self._key = key
+        self._hmac = HmacKey(key)
 
     def _update(self, provided: bytes | None = None) -> None:
         # SP 800-90A HMAC_DRBG_Update: the second round runs whenever
@@ -115,11 +127,11 @@ class HmacDrbg:
         # (`provided or b""` would collapse b"" into the None path and
         # silently skip the round; a regression test pins both paths.)
         data = b"" if provided is None else provided
-        self._key = hmac_sha256(self._key, self._value + b"\x00" + data)
-        self._value = hmac_sha256(self._key, self._value)
+        self._rekey(self._hmac.mac(self._value, b"\x00", data))
+        self._value = self._hmac.mac(self._value)
         if provided is not None:
-            self._key = hmac_sha256(self._key, self._value + b"\x01" + data)
-            self._value = hmac_sha256(self._key, self._value)
+            self._rekey(self._hmac.mac(self._value, b"\x01", data))
+            self._value = self._hmac.mac(self._value)
 
     def reseed(self, entropy: bytes) -> None:
         """Mix fresh entropy into the state."""
@@ -133,8 +145,9 @@ class HmacDrbg:
         if self._reseed_counter > self.RESEED_INTERVAL:
             raise RuntimeError("DRBG reseed required")
         out = bytearray()
+        mac = self._hmac.mac
         while len(out) < n:
-            self._value = hmac_sha256(self._key, self._value)
+            self._value = mac(self._value)
             out += self._value
         self._update()
         self._reseed_counter += 1

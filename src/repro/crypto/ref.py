@@ -1,17 +1,19 @@
 """Frozen reference crypto: the differential oracles for the fast kernels.
 
 This module is a verbatim freeze of the straightforward pure-Python
-primitives that :mod:`repro.crypto` shipped before the provisioning
-data-plane overhaul: the word-at-a-time T-table AES with the per-call
-CTR loop, the textbook SHA-256 compression loop, and the
-re-pad-every-call HMAC.  The optimized implementations in
-:mod:`repro.crypto.aes` / :mod:`~repro.crypto.sha256` /
-:mod:`~repro.crypto.mac` are required to be **byte-identical** to these
-oracles for every input; the differential tests enforce that (and the
-primitive table in ``benchmarks/bench_provisioning.py`` measures the
-speed difference), and the known-answer self-check at the bottom of this
-file pins the oracles themselves to FIPS-197 / FIPS 180-4 / RFC 4231
-vectors at import time.
+primitives that :mod:`repro.crypto` shipped before it was optimized:
+the word-at-a-time T-table AES with the per-call CTR loop, the textbook
+SHA-256 compression loop, the re-pad-every-call HMAC, and the prime
+generator that exponentiates all 40 Miller-Rabin rounds.  The optimized
+implementations in :mod:`repro.crypto.aes` / :mod:`~repro.crypto.sha256`
+/ :mod:`~repro.crypto.mac` / :mod:`~repro.crypto.primes` are required to
+be **byte-identical** to these oracles for every input (for
+``generate_prime``: the prime and the DRBG state it leaves, barring the
+<= 2**-100 event its docstring names); the differential tests enforce
+that (and the primitive table in ``benchmarks/bench_provisioning.py``
+measures the speed difference), and the known-answer self-check at the
+bottom of this file pins the oracles themselves to FIPS-197 / FIPS 180-4
+/ RFC 4231 vectors at import time.
 
 Do not modify this module for performance.  It exists so future perf
 work always has a slow-but-obviously-correct implementation to diff
@@ -25,6 +27,8 @@ import hashlib
 import struct
 
 from ..errors import CryptoError
+from .mac import HmacDrbg
+from .primes import is_probable_prime
 
 __all__ = [
     "RefAes",
@@ -34,6 +38,7 @@ __all__ = [
     "ref_hmac_sha256",
     "ref_channel_hmac",
     "ref_constant_time_eq",
+    "ref_generate_prime",
 ]
 
 BLOCK = 16
@@ -398,6 +403,27 @@ def ref_constant_time_eq(a: bytes, b: bytes) -> bool:
     for x, y in zip(a, b):
         acc |= x ^ y
     return acc == 0
+
+
+# ---------------------------------------------------------------------------
+# Prime generation (frozen: all 40 Miller-Rabin rounds exponentiated).
+# ---------------------------------------------------------------------------
+
+
+def ref_generate_prime(bits: int, rng: HmacDrbg) -> int:
+    """Generate a random prime with exactly *bits* bits.
+
+    The top two bits are forced to 1 so that the product of two such primes
+    has exactly 2*bits bits (the standard RSA trick).
+    """
+    if bits < 8:
+        raise ValueError("prime size must be at least 8 bits")
+    while True:
+        candidate = rng.randbits(bits)
+        candidate |= (1 << (bits - 1)) | (1 << (bits - 2))  # full size
+        candidate |= 1  # odd
+        if is_probable_prime(candidate, rng=rng):
+            return candidate
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,10 @@ def generate_keypair(bits: int, rng: HmacDrbg, e: int = 65537) -> RsaPrivateKey:
         raise CryptoError("modulus must be at least 128 bits")
     if bits % 2:
         raise CryptoError("modulus size must be even")
+    # e = 1 would make encryption the identity; an even e shares the
+    # factor 2 with phi, so no prime pair could ever invert it.
+    if e < 3 or e % 2 == 0:
+        raise CryptoError(f"public exponent must be odd and at least 3, got {e}")
     half = bits // 2
     while True:
         p = generate_prime(half, rng)

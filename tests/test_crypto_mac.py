@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import HmacDrbg, hmac_sha256
+from repro.crypto import HmacDrbg, generate_keypair, hmac_sha256
+from repro.crypto import mac
 from repro.crypto.mac import constant_time_eq, hmac_key
 
 # RFC 4231 test cases 1, 2, 3, 4, 6, 7 (the SHA-256 rows; case 5 is the
@@ -73,7 +74,83 @@ def test_matches_stdlib_hmac(key, msg):
     assert hmac_sha256(key, msg) == expected
 
 
+class StdlibDrbg:
+    """SP 800-90A HMAC_DRBG (SHA-256) on stdlib ``hmac``, plus the
+    integer helpers and fork exactly as HmacDrbg defines them."""
+
+    def __init__(self, seed, personalization=b""):
+        self.key, self.value = b"\x00" * 32, b"\x01" * 32
+        self.update(seed + personalization)
+
+    def hmac(self, message):
+        return std_hmac.new(self.key, message, hashlib.sha256).digest()
+
+    def update(self, provided=None):
+        data = b"" if provided is None else provided
+        self.key = self.hmac(self.value + b"\x00" + data)
+        self.value = self.hmac(self.value)
+        if provided is not None:
+            self.key = self.hmac(self.value + b"\x01" + data)
+            self.value = self.hmac(self.value)
+
+    def generate(self, n):
+        out = b""
+        while len(out) < n:
+            self.value = self.hmac(self.value)
+            out += self.value
+        self.update()
+        return out[:n]
+
+    def randint(self, lo, hi):
+        span = hi - lo + 1
+        nbytes = (span.bit_length() + 7) // 8 + 1
+        limit = (1 << (8 * nbytes)) - (1 << (8 * nbytes)) % span
+        while True:
+            candidate = int.from_bytes(self.generate(nbytes), "big")
+            if candidate < limit:
+                return lo + candidate % span
+
+    def randbits(self, k):
+        nbytes = (k + 7) // 8
+        return int.from_bytes(self.generate(nbytes), "big") >> (8 * nbytes - k)
+
+    def reseed(self, entropy):
+        self.update(entropy)
+
+    def fork(self, label):
+        return StdlibDrbg(self.generate(32), personalization=label)
+
+
+def _exercise(drbg) -> list:
+    """A fixed mix of every output path, including reseed and fork."""
+    out = [drbg.generate(n) for n in (0, 1, 31, 32, 33, 100)]
+    out += [drbg.randint(lo, hi) for lo, hi in ((0, 0), (0, 1), (2, 255),
+                                                (2, 256), (5, 10**40))]
+    out += [drbg.randbits(k) for k in (1, 7, 8, 9, 257)]
+    drbg.reseed(b"fresh")
+    child = drbg.fork(b"child")
+    out += [child.generate(48), child.randint(0, 999), drbg.generate(16)]
+    return out
+
+
 class TestHmacDrbg:
+    @pytest.mark.parametrize("seed", [b"", b"seed", b"\xff" * 100])
+    def test_matches_stdlib_replay(self, seed):
+        drbg, replay = HmacDrbg(seed, b"pers"), StdlibDrbg(seed, b"pers")
+        assert _exercise(drbg) == _exercise(replay)
+        assert (drbg._key, drbg._value) == (replay.key, replay.value)
+
+    def test_leaves_the_shared_hmac_key_cache_alone(self):
+        """Regression: the DRBG used to MAC through hmac_key, which kept
+        every (overwritten) DRBG key as raw bytes in the process-global
+        LRU and evicted every other caller's prepared key."""
+        hmac_key(b"someone else's long-lived key")
+        before = list(mac._KEY_CACHE)
+        drbg = HmacDrbg(b"seed")
+        _exercise(drbg)
+        generate_keypair(256, drbg)
+        assert list(mac._KEY_CACHE) == before
+
     def test_deterministic(self):
         assert HmacDrbg(b"seed").generate(64) == HmacDrbg(b"seed").generate(64)
 

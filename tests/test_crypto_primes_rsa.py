@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,21 @@ from repro.crypto import (
     generate_prime,
     is_probable_prime,
 )
-from repro.crypto.primes import SMALL_PRIMES
+from repro.crypto.primes import SMALL_PRIMES, _dlp_rounds
+from repro.crypto.ref import ref_generate_prime
 from repro.errors import CryptoError
+
+
+def _drbg_state(drbg: HmacDrbg) -> tuple:
+    return drbg._key, drbg._value, drbg._reseed_counter
+
+
+def _log2_dlp_bound(k: int, t: int) -> float:
+    """log2 of Damgard-Landrock-Pomerance bound (ii), HAC Fact 4.48(ii):
+    p(k, t) < k**1.5 * 2**t * t**-0.5 * 4**(2 - sqrt(t*k))."""
+    assert k >= 21 and 3 <= t <= k / 9
+    return (1.5 * math.log2(k) + t - 0.5 * math.log2(t)
+            + 2 * (2 - math.sqrt(t * k)))
 
 
 class TestPrimes:
@@ -46,6 +61,37 @@ class TestPrimes:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_prime(4, HmacDrbg(b"x"))
+
+
+class TestRoundShortcut:
+    """generate_prime exponentiates only the rounds the DLP bound needs,
+    but must stay draw-for-draw identical to the 40-round generator."""
+
+    @pytest.mark.parametrize("bits,seeds", [
+        (8, 6), (128, 4), (256, 6), (384, 4), (512, 3), (1024, 1),
+    ])
+    def test_matches_forty_round_generator(self, bits, seeds):
+        for seed in range(seeds):
+            label = b"shortcut-%d-%d" % (bits, seed)
+            fast, ref = HmacDrbg(label), HmacDrbg(label)
+            got = (generate_prime(bits, fast), generate_prime(bits, fast))
+            want = (ref_generate_prime(bits, ref), ref_generate_prime(bits, ref))
+            assert got == want, (bits, seed)
+            assert _drbg_state(fast) == _drbg_state(ref), (bits, seed)
+
+    @pytest.mark.parametrize("bits,rounds", [
+        (207, 23), (256, 17), (384, 11), (512, 8), (1024, 4),
+    ])
+    def test_round_count_is_the_fewest_meeting_the_bound(self, bits, rounds):
+        assert _dlp_rounds(bits) == rounds
+        assert _log2_dlp_bound(bits, rounds) <= -100
+        assert _log2_dlp_bound(bits, rounds - 1) > -100
+
+    @pytest.mark.parametrize("bits", [8, 64, 128, 200, 206])
+    def test_sizes_below_207_bits_keep_forty_rounds(self, bits):
+        assert _dlp_rounds(bits) == 40
+        if bits >= 27:  # the bound's best valid t still misses 2**-100
+            assert _log2_dlp_bound(bits, bits // 9) > -100
 
 
 class TestRsa:
@@ -113,6 +159,19 @@ class TestRsa:
             generate_keypair(64, HmacDrbg(b"r"))  # too small
         with pytest.raises(CryptoError):
             generate_keypair(513, HmacDrbg(b"r"))  # odd
+
+    @pytest.mark.parametrize("e", [-3, 0, 1, 2, 4, 65536])
+    def test_bad_public_exponent_rejected_before_any_draw(self, e):
+        # e = 1 makes an identity key; no phi is coprime to an even e.
+        rng = HmacDrbg(b"r")
+        with pytest.raises(CryptoError, match="public exponent"):
+            generate_keypair(256, rng, e=e)
+        assert _drbg_state(rng) == _drbg_state(HmacDrbg(b"r"))
+
+    def test_small_odd_exponent_accepted(self):
+        keypair = generate_keypair(256, HmacDrbg(b"r"), e=3)
+        assert keypair.e == 3
+        assert (keypair.e * keypair.d) % ((keypair.p - 1) * (keypair.q - 1)) == 1
 
     @given(st.binary(min_size=0, max_size=40))
     @settings(max_examples=25, deadline=None)
