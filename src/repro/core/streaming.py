@@ -99,19 +99,27 @@ class StreamScan:
             branch_idx=[], term_idx=[], direct_calls=[], indirect_idx=[],
             bundle_violation=None, n_bytes=0,
         )
-        by_offset = scan.by_offset
-        branch_append = scan.branch_idx.append
-        term_append = scan.term_idx.append
-        direct_append = scan.direct_calls.append
-        indirect_append = scan.indirect_idx.append
-        for i, insn in enumerate(instructions):
+        scan._prescan(instructions, 0)
+        return scan
+
+    def _prescan(self, insns: list[Instruction], first: int) -> None:
+        """Add the prescan artifacts of *insns*, the tokens at indices
+        ``first, first + 1, ...`` of :attr:`instructions`."""
+        by_offset = self.by_offset
+        branch_append = self.branch_idx.append
+        term_append = self.term_idx.append
+        direct_append = self.direct_calls.append
+        indirect_append = self.indirect_idx.append
+        n_bytes = self.n_bytes
+        bundle_violation = self.bundle_violation
+        for i, insn in enumerate(insns, first):
             offset = insn.offset
             end = offset + len(insn.raw)
             by_offset[offset] = i
-            scan.n_bytes += end - offset
-            if (scan.bundle_violation is None
+            n_bytes += end - offset
+            if (bundle_violation is None
                     and offset // BUNDLE_SIZE != (end - 1) // BUNDLE_SIZE):
-                scan.bundle_violation = (offset, insn.mnemonic, end - offset)
+                bundle_violation = (offset, insn.mnemonic, end - offset)
             mnemonic = insn.mnemonic
             if insn.target is not None:
                 branch_append(i)
@@ -121,7 +129,8 @@ class StreamScan:
                 indirect_append(i)
             if mnemonic in _TERMINATORS:
                 term_append(i)
-        return scan
+        self.n_bytes = n_bytes
+        self.bundle_violation = bundle_violation
 
 
 class StreamingPipeline:
@@ -130,9 +139,10 @@ class StreamingPipeline:
     The provider preallocates one buffer for the announced content size
     and decrypts each record in place; after every record it calls
     :meth:`advance` with the new valid-prefix length.  The pipeline shares
-    the buffer (zero copies beyond the decoder's own accumulation),
-    parses the ELF/program headers as soon as their bytes land to locate
-    the text segment, and feeds the stream decoder as text bytes arrive.
+    the buffer (it hands the decoder a view of each new text piece, which
+    the decoder copies once), parses the ELF/program headers as soon as
+    their bytes land to locate the text segment, and feeds the stream
+    decoder as text bytes arrive.
     ``decode=False`` keeps only the header tracking (the delta path
     decodes after the fact from the chunk diff instead).
     """
@@ -148,15 +158,9 @@ class StreamingPipeline:
         self._fed = 0
         self._decode_done = False
         self._valid = 0
-        # fused prescan accumulators
+        # fused prescan accumulators; ``code`` is filled in by finish()
         self.instructions: list[Instruction] = []
-        self.by_offset: dict[int, int] = {}
-        self.branch_idx: list[int] = []
-        self.term_idx: list[int] = []
-        self.direct_calls: list[Instruction] = []
-        self.indirect_idx: list[int] = []
-        self.bundle_violation: tuple[int, str, int] | None = None
-        self.n_bytes = 0
+        self._scan = StreamScan.from_instructions(b"", self.instructions)
         self.error: DecodeError | None = None
 
     # ------------------------------------------------------------ headers
@@ -206,13 +210,14 @@ class StreamingPipeline:
         start = self.text_off + self._fed
         avail_end = min(valid, self.text_off + self.text_size)
         if avail_end > start:
-            piece = bytes(self._buf[start:avail_end])
-            self._fed += len(piece)
+            self._fed = avail_end - self.text_off
             try:
-                self._consume(self._decoder.feed(piece))
+                with memoryview(self._buf)[start:avail_end] as piece:
+                    insns = self._decoder.feed(piece)
             except DecodeError as exc:
                 self.error = exc
                 return
+            self._consume(insns)
         if self._fed == self.text_size:
             try:
                 self._consume(self._decoder.finish(self.text_size))
@@ -222,31 +227,9 @@ class StreamingPipeline:
             self._decode_done = True
 
     def _consume(self, insns: list[Instruction]) -> None:
-        instructions = self.instructions
-        by_offset = self.by_offset
-        branch_append = self.branch_idx.append
-        term_append = self.term_idx.append
-        direct_append = self.direct_calls.append
-        indirect_append = self.indirect_idx.append
-        for insn in insns:
-            i = len(instructions)
-            instructions.append(insn)
-            offset = insn.offset
-            end = offset + len(insn.raw)
-            by_offset[offset] = i
-            self.n_bytes += end - offset
-            if (self.bundle_violation is None
-                    and offset // BUNDLE_SIZE != (end - 1) // BUNDLE_SIZE):
-                self.bundle_violation = (offset, insn.mnemonic, end - offset)
-            mnemonic = insn.mnemonic
-            if insn.target is not None:
-                branch_append(i)
-                if mnemonic == "callq":
-                    direct_append(insn)
-            elif mnemonic in ("callq", "jmp", "jmpq"):
-                indirect_append(i)
-            if mnemonic in _TERMINATORS:
-                term_append(i)
+        first = len(self.instructions)
+        self.instructions.extend(insns)
+        self._scan._prescan(insns, first)
 
     # ------------------------------------------------------------ results
 
@@ -270,18 +253,10 @@ class StreamingPipeline:
             return None
         if self.error is None and not self._decode_done:
             return None  # stream ended before the announced text did
-        return StreamScan(
-            code=bytes(self._buf[self.text_off:self.text_off + self.text_size]),
-            instructions=self.instructions,
-            by_offset=self.by_offset,
-            branch_idx=self.branch_idx,
-            term_idx=self.term_idx,
-            direct_calls=self.direct_calls,
-            indirect_idx=self.indirect_idx,
-            bundle_violation=self.bundle_violation,
-            n_bytes=self.n_bytes,
-            error=self.error,
-        )
+        scan = self._scan
+        scan.code = bytes(self._buf[self.text_off:self.text_off + self.text_size])
+        scan.error = self.error
+        return scan
 
 
 # --------------------------------------------------------------------------

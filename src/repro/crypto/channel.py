@@ -31,7 +31,7 @@ from ..errors import CryptoError, OverrunError, ProtocolError
 from ..faults.hooks import DROP, fault_hook
 from ..net import SimSocket
 from .aes import _MEMO_MIN_BLOCKS, Aes, ctr_xor, ctr_xor_into
-from .mac import HmacDrbg, HmacKey, constant_time_eq, hmac_sha256
+from .mac import HmacDrbg, HmacKey, constant_time_eq
 from .rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 
 __all__ = [
@@ -77,14 +77,18 @@ class SecureChannel:
         #: (seq, plaintext payload) of the most recent sends
         self._sent_window: deque[tuple[int, bytes]] = deque(maxlen=self.RESEND_WINDOW)
         send_label, recv_label = (b"srv->cli", b"cli->srv") if is_server else (b"cli->srv", b"srv->cli")
-        self._send_nonce = hmac_sha256(session_key, b"nonce" + send_label)[:8]
-        self._recv_nonce = hmac_sha256(session_key, b"nonce" + recv_label)[:8]
+        # The session key is prepared here and dropped with the channel,
+        # never parked in the process-wide hmac_key LRU.  (Aes.for_key and
+        # the CTR keystream memo still cache the derived encryption keys.)
+        master = HmacKey(session_key)
+        self._send_nonce = master.mac(b"nonce" + send_label)[:8]
+        self._recv_nonce = master.mac(b"nonce" + recv_label)[:8]
         # Session-lifetime cipher state: expanded AES schedules and HMAC
         # midstates per direction.
-        self._send_aes = Aes.for_key(hmac_sha256(session_key, b"enc" + send_label))
-        self._recv_aes = Aes.for_key(hmac_sha256(session_key, b"enc" + recv_label))
-        self._send_hmac = HmacKey(hmac_sha256(session_key, b"mac" + send_label))
-        self._recv_hmac = HmacKey(hmac_sha256(session_key, b"mac" + recv_label))
+        self._send_aes = Aes.for_key(master.mac(b"enc" + send_label))
+        self._recv_aes = Aes.for_key(master.mac(b"enc" + recv_label))
+        self._send_hmac = HmacKey(master.mac(b"mac" + send_label))
+        self._recv_hmac = HmacKey(master.mac(b"mac" + recv_label))
 
     # Each record gets a disjoint CTR-counter window: 2**20 blocks (16 MiB)
     # per sequence number, far above the socket frame limit per record.

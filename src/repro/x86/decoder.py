@@ -20,7 +20,14 @@ is engineered accordingly:
   instruction;
 * register operands come from the interned :data:`~repro.x86.registers.GPR64`
   / :data:`~repro.x86.registers.GPR32` banks instead of fresh ``Reg``
-  allocations.
+  allocations;
+* each decode interns its other operands in tables its cursor owns:
+  :class:`~repro.x86.insn.Mem` by base and index register numbers,
+  scale, displacement, segment and the RIP flag, :class:`~repro.x86.insn.Imm`
+  by value and size, and whole operand tuples by the instruction's raw
+  bytes (which fully determine them).  A record then costs one tracked
+  object, the tuple :func:`_build` makes in one C call, and the tables
+  die with the decode.
 
 The pre-optimization decoder is preserved verbatim in
 :mod:`repro.x86.refdecode`; differential tests assert both produce
@@ -66,7 +73,7 @@ _CMOV_MNEM = tuple("cmov" + CC_BY_CODE[cc][1:] for cc in range(16))
 
 _MAX_INSN = 15  # architectural limit
 
-_INSN_NEW = Instruction.__new__
+_TUPLE_NEW = tuple.__new__
 
 
 class _Cursor:
@@ -76,22 +83,38 @@ class _Cursor:
     count, REX byte, segment override, operand width) lives on the cursor
     and is reset by :func:`_decode_next`, so linear decoding never
     re-slices or re-scans bytes it has already consumed.
+
+    ``pos`` and ``start`` index ``code``, which begins at absolute offset
+    ``base`` of the region (non-zero only when :class:`StreamDecoder` has
+    dropped the bytes it finished with); offsets, branch targets and
+    error texts are absolute.  ``mems``, ``imms`` and ``operand_sets``
+    are the decode's interning tables.
     """
 
-    __slots__ = ("code", "pos", "start", "rex", "seg", "wbits", "bank",
-                 "n_prefix", "n_opcode")
+    __slots__ = ("code", "pos", "start", "base", "rex", "seg", "wbits",
+                 "bank", "n_prefix", "n_opcode", "mems", "imms",
+                 "operand_sets")
 
     def __init__(self, code: bytes, pos: int) -> None:
         self.code = code
         self.pos = pos
         self.start = pos
+        self.base = 0
+        self.mems: dict[tuple, Mem] = {}
+        self.imms: dict[tuple[int, int], Imm] = {}
+        self.operand_sets: dict[bytes, tuple] = {}
+
+    @property
+    def at(self) -> int:
+        """Absolute offset of the instruction being decoded."""
+        return self.base + self.start
 
     def u8(self) -> int:
         try:
             b = self.code[self.pos]
         except IndexError:
             raise DecodeError(
-                f"truncated instruction at offset {self.start:#x}"
+                f"truncated instruction at offset {self.at:#x}"
             ) from None
         self.pos += 1
         return b
@@ -101,27 +124,27 @@ class _Cursor:
             return self.code[self.pos]
         except IndexError:
             raise DecodeError(
-                f"truncated instruction at offset {self.start:#x}"
+                f"truncated instruction at offset {self.at:#x}"
             ) from None
 
     def i8(self) -> int:
         pos = self.pos
         if pos + 1 > len(self.code):
-            raise DecodeError(f"truncated instruction at offset {self.start:#x}")
+            raise DecodeError(f"truncated instruction at offset {self.at:#x}")
         self.pos = pos + 1
         return _I8(self.code, pos)[0]
 
     def i32(self) -> int:
         pos = self.pos
         if pos + 4 > len(self.code):
-            raise DecodeError(f"truncated instruction at offset {self.start:#x}")
+            raise DecodeError(f"truncated instruction at offset {self.at:#x}")
         self.pos = pos + 4
         return _I32(self.code, pos)[0]
 
     def i64(self) -> int:
         pos = self.pos
         if pos + 8 > len(self.code):
-            raise DecodeError(f"truncated instruction at offset {self.start:#x}")
+            raise DecodeError(f"truncated instruction at offset {self.at:#x}")
         self.pos = pos + 8
         return _I64(self.code, pos)[0]
 
@@ -137,29 +160,33 @@ def _build(
 ) -> Instruction:
     """Materialise the Instruction for the bytes [cur.start, cur.pos).
 
-    Field-for-field equivalent to calling ``Instruction(...)``; writes the
-    frozen dataclass's ``__dict__`` directly to skip the per-field
-    ``object.__setattr__`` round trips of the generated ``__init__`` (this
-    runs once per decoded instruction).  Equality with the ordinary
+    Field-for-field equal to calling ``Instruction(...)``, built with one
+    ``tuple.__new__`` call instead of the constructor's Python-level
+    ``__new__`` (this runs once per decoded instruction).  A non-empty
+    operand tuple is swapped for the decode's first tuple with the same
+    raw bytes, so equal instructions share one.  Equality with the keyword
     constructor is pinned by tests.
     """
     start = cur.start
     pos = cur.pos
     if pos - start > _MAX_INSN:
-        raise DecodeError(f"instruction longer than 15 bytes at {start:#x}")
-    insn = _INSN_NEW(Instruction)
-    d = insn.__dict__
-    d["offset"] = start
-    d["raw"] = cur.code[start:pos]
-    d["mnemonic"] = mnemonic
-    d["operands"] = operands
-    d["num_prefix_bytes"] = cur.n_prefix
-    d["num_opcode_bytes"] = cur.n_opcode
-    d["num_displacement_bytes"] = disp
-    d["num_immediate_bytes"] = imm
-    d["has_modrm"] = modrm
-    d["target"] = target
-    return insn
+        raise DecodeError(f"instruction longer than 15 bytes at {cur.at:#x}")
+    raw = cur.code[start:pos]
+    if operands:
+        operands = cur.operand_sets.setdefault(raw, operands)
+    return _TUPLE_NEW(Instruction, (
+        cur.base + start, raw, mnemonic, operands, cur.n_prefix,
+        cur.n_opcode, disp, imm, modrm, target,
+    ))
+
+
+def _imm(cur: _Cursor, value: int, size: int) -> Imm:
+    """The decode's interned ``Imm(value, size)``."""
+    key = (value, size)
+    imm = cur.imms.get(key)
+    if imm is None:
+        imm = cur.imms[key] = Imm(value, size)
+    return imm
 
 
 def _parse_modrm(cur: _Cursor, rm_bits: int) -> tuple[int, Reg | Mem, int]:
@@ -176,38 +203,48 @@ def _parse_modrm(cur: _Cursor, rm_bits: int) -> tuple[int, Reg | Mem, int]:
         return reg_field, bank[((rex & 1) << 3) | rm], 0
 
     disp_bytes = 0
+    index_num = None
+    scale = 1
+    rip = False
     if rm == 0b100:
         sib = cur.u8()
         scale = 1 << (sib >> 6)
         index_num = ((rex & 0b10) << 2) | ((sib >> 3) & 0b111)
-        base_num = ((rex & 1) << 3) | (sib & 0b111)
-        index = None if index_num == 0b100 else GPR64[index_num]
+        if index_num == 0b100:
+            index_num = None
         if (sib & 0b111) == 0b101 and mod == 0b00:
+            base_num = None
             disp = cur.i32()
             disp_bytes = 4
-            operand = Mem(base=None, index=index, scale=scale, disp=disp, seg=seg)
         else:
-            base = GPR64[base_num]
+            base_num = ((rex & 1) << 3) | (sib & 0b111)
             if mod == 0b01:
                 disp, disp_bytes = cur.i8(), 1
             elif mod == 0b10:
                 disp, disp_bytes = cur.i32(), 4
             else:
                 disp = 0
-            operand = Mem(base=base, index=index, scale=scale, disp=disp, seg=seg)
     elif rm == 0b101 and mod == 0b00:
+        base_num = None
         disp = cur.i32()
         disp_bytes = 4
-        operand = Mem(disp=disp, seg=seg, rip_relative=True)
+        rip = True
     else:
-        base = GPR64[((rex & 1) << 3) | rm]
+        base_num = ((rex & 1) << 3) | rm
         if mod == 0b01:
             disp, disp_bytes = cur.i8(), 1
         elif mod == 0b10:
             disp, disp_bytes = cur.i32(), 4
         else:
             disp = 0
-        operand = Mem(base=base, disp=disp, seg=seg)
+    key = (base_num, index_num, scale, disp, seg, rip)
+    operand = cur.mems.get(key)
+    if operand is None:
+        operand = cur.mems[key] = Mem(
+            base=None if base_num is None else GPR64[base_num],
+            index=None if index_num is None else GPR64[index_num],
+            scale=scale, disp=disp, seg=seg, rip_relative=rip,
+        )
     return reg_field, operand, disp_bytes
 
 
@@ -238,7 +275,7 @@ def _h_xchg(cur: _Cursor, op: int) -> Instruction:
 def _h_lea(cur: _Cursor, op: int) -> Instruction:
     reg_field, rm_op, dbytes = _parse_modrm(cur, cur.wbits)
     if not isinstance(rm_op, Mem):
-        raise DecodeError(f"lea with register operand at {cur.start:#x}")
+        raise DecodeError(f"lea with register operand at {cur.at:#x}")
     return _build(cur, "lea", (rm_op, cur.bank[reg_field]),
                   disp=dbytes, modrm=True)
 
@@ -259,7 +296,8 @@ def _h_pop(cur: _Cursor, op: int) -> Instruction:
 
 def _h_jcc8(cur: _Cursor, op: int) -> Instruction:
     rel = cur.i8()
-    return _build(cur, CC_BY_CODE[op - 0x70], imm=1, target=cur.pos + rel)
+    return _build(cur, CC_BY_CODE[op - 0x70], imm=1,
+                  target=cur.base + cur.pos + rel)
 
 
 def _h_group1(cur: _Cursor, op: int) -> Instruction:
@@ -269,7 +307,7 @@ def _h_group1(cur: _Cursor, op: int) -> Instruction:
         value, isize = cur.i32(), 4
     else:
         value, isize = cur.i8(), 1
-    return _build(cur, mnem, (Imm(value, isize), rm_op),
+    return _build(cur, mnem, (_imm(cur, value, isize), rm_op),
                   disp=dbytes, imm=isize, modrm=True)
 
 
@@ -283,16 +321,16 @@ def _h_mov_imm_reg(cur: _Cursor, op: int) -> Instruction:
         value, isize = cur.i64(), 8
     else:
         value, isize = cur.i32(), 4
-    return _build(cur, "mov", (Imm(value, isize), dst), imm=isize)
+    return _build(cur, "mov", (_imm(cur, value, isize), dst), imm=isize)
 
 
 def _h_group2(cur: _Cursor, op: int) -> Instruction:
     reg_field, rm_op, dbytes = _parse_modrm(cur, cur.wbits)
     ext = reg_field & 0b111
     if ext not in GROUP2:
-        raise DecodeError(f"unsupported shift /{ext} at {cur.start:#x}")
+        raise DecodeError(f"unsupported shift /{ext} at {cur.at:#x}")
     amount = cur.u8()
-    return _build(cur, GROUP2[ext], (Imm(amount, 1), rm_op),
+    return _build(cur, GROUP2[ext], (_imm(cur, amount, 1), rm_op),
                   disp=dbytes, imm=1, modrm=True)
 
 
@@ -303,9 +341,9 @@ def _h_ret(cur: _Cursor, op: int) -> Instruction:
 def _h_mov_imm_rm(cur: _Cursor, op: int) -> Instruction:
     reg_field, rm_op, dbytes = _parse_modrm(cur, cur.wbits)
     if reg_field & 0b111:
-        raise DecodeError(f"unsupported opcode c7 /{reg_field & 7} at {cur.start:#x}")
+        raise DecodeError(f"unsupported opcode c7 /{reg_field & 7} at {cur.at:#x}")
     value = cur.i32()
-    return _build(cur, "mov", (Imm(value, 4), rm_op),
+    return _build(cur, "mov", (_imm(cur, value, 4), rm_op),
                   disp=dbytes, imm=4, modrm=True)
 
 
@@ -319,17 +357,17 @@ def _h_int3(cur: _Cursor, op: int) -> Instruction:
 
 def _h_call_rel32(cur: _Cursor, op: int) -> Instruction:
     rel = cur.i32()
-    return _build(cur, "callq", imm=4, target=cur.pos + rel)
+    return _build(cur, "callq", imm=4, target=cur.base + cur.pos + rel)
 
 
 def _h_jmp_rel32(cur: _Cursor, op: int) -> Instruction:
     rel = cur.i32()
-    return _build(cur, "jmpq", imm=4, target=cur.pos + rel)
+    return _build(cur, "jmpq", imm=4, target=cur.base + cur.pos + rel)
 
 
 def _h_jmp_rel8(cur: _Cursor, op: int) -> Instruction:
     rel = cur.i8()
-    return _build(cur, "jmpq", imm=1, target=cur.pos + rel)
+    return _build(cur, "jmpq", imm=1, target=cur.base + cur.pos + rel)
 
 
 def _h_hlt(cur: _Cursor, op: int) -> Instruction:
@@ -340,10 +378,10 @@ def _h_group3(cur: _Cursor, op: int) -> Instruction:
     reg_field, rm_op, dbytes = _parse_modrm(cur, cur.wbits)
     ext = reg_field & 0b111
     if ext not in GROUP3:
-        raise DecodeError(f"unsupported opcode f7 /{ext} at {cur.start:#x}")
+        raise DecodeError(f"unsupported opcode f7 /{ext} at {cur.at:#x}")
     if ext == 0:  # test imm32
         value = cur.i32()
-        return _build(cur, "test", (Imm(value, 4), rm_op),
+        return _build(cur, "test", (_imm(cur, value, 4), rm_op),
                       disp=dbytes, imm=4, modrm=True)
     return _build(cur, GROUP3[ext], (rm_op,), disp=dbytes, modrm=True)
 
@@ -352,7 +390,7 @@ def _h_group5(cur: _Cursor, op: int) -> Instruction:
     reg_field, rm_op, dbytes = _parse_modrm(cur, 64)
     ext = reg_field & 0b111
     if ext not in GROUP5:
-        raise DecodeError(f"unsupported opcode ff /{ext} at {cur.start:#x}")
+        raise DecodeError(f"unsupported opcode ff /{ext} at {cur.at:#x}")
     mnem = GROUP5[ext]
     if mnem in ("inc", "dec") and isinstance(rm_op, Reg):
         rm_op = cur.bank[rm_op.num]
@@ -367,7 +405,7 @@ def _h_twobyte(cur: _Cursor, op: int) -> Instruction:
     handler = _DISPATCH_0F[op2]
     if handler is None:
         raise DecodeError(
-            f"unsupported two-byte opcode 0f {op2:02x} at {cur.start:#x}"
+            f"unsupported two-byte opcode 0f {op2:02x} at {cur.at:#x}"
         )
     return handler(cur, op2)
 
@@ -393,7 +431,8 @@ def _h_cmov(cur: _Cursor, op2: int) -> Instruction:
 
 def _h_jcc32(cur: _Cursor, op2: int) -> Instruction:
     rel = cur.i32()
-    return _build(cur, CC_BY_CODE[op2 - 0x80], imm=4, target=cur.pos + rel)
+    return _build(cur, CC_BY_CODE[op2 - 0x80], imm=4,
+                  target=cur.base + cur.pos + rel)
 
 
 def _h_imul(cur: _Cursor, op2: int) -> Instruction:
@@ -457,7 +496,7 @@ def _decode_next(cur: _Cursor) -> Instruction:
     pos = cur.start = cur.pos
     limit = len(code)
     if pos >= limit:
-        raise DecodeError(f"truncated instruction at offset {pos:#x}")
+        raise DecodeError(f"truncated instruction at offset {cur.at:#x}")
     b = code[pos]
 
     # -- legacy prefixes --------------------------------------------------
@@ -467,18 +506,18 @@ def _decode_next(cur: _Cursor) -> Instruction:
     while b == PREFIX_FS or b == PREFIX_GS or b == PREFIX_OPSIZE:
         if b == PREFIX_OPSIZE:
             if opsize:
-                raise DecodeError(f"duplicate operand-size prefix at {cur.start:#x}")
+                raise DecodeError(f"duplicate operand-size prefix at {cur.at:#x}")
             opsize = True
         else:
             if seg is not None:
-                raise DecodeError(f"duplicate segment prefix at {cur.start:#x}")
+                raise DecodeError(f"duplicate segment prefix at {cur.at:#x}")
             seg = "fs" if b == PREFIX_FS else "gs"
         pos += 1
         n_prefix += 1
         if n_prefix > 4:
-            raise DecodeError(f"too many prefixes at {cur.start:#x}")
+            raise DecodeError(f"too many prefixes at {cur.at:#x}")
         if pos >= limit:
-            raise DecodeError(f"truncated instruction at offset {cur.start:#x}")
+            raise DecodeError(f"truncated instruction at offset {cur.at:#x}")
         b = code[pos]
 
     # -- REX --------------------------------------------------------------
@@ -488,7 +527,7 @@ def _decode_next(cur: _Cursor) -> Instruction:
         n_prefix += 1
         pos += 1
         if pos >= limit:
-            raise DecodeError(f"truncated instruction at offset {cur.start:#x}")
+            raise DecodeError(f"truncated instruction at offset {cur.at:#x}")
         b = code[pos]
 
     cur.pos = pos + 1
@@ -510,7 +549,7 @@ def _decode_next(cur: _Cursor) -> Instruction:
 
     handler = _DISPATCH[b]
     if handler is None:
-        raise DecodeError(f"unsupported opcode {b:#04x} at offset {cur.start:#x}")
+        raise DecodeError(f"unsupported opcode {b:#04x} at offset {cur.at:#x}")
     return handler(cur, b)
 
 
@@ -550,68 +589,81 @@ class StreamDecoder:
     """Chunk-resumable linear decode over a byte stream.
 
     Drives the same resumable :class:`_Cursor` as :func:`iter_decode`, but
-    over a buffer that grows as channel records arrive.  ``feed`` decodes
-    every instruction that *provably* fits in the bytes received so far —
-    the cursor never starts an instruction unless a full ``_MAX_INSN``-byte
-    lookahead window is available, so a chunk boundary can never manufacture
-    a spurious truncation error.  ``finish`` drains the tail once the region
-    end is known, applying the same past-the-end check as
+    over bytes that arrive as channel records.  ``feed`` decodes every
+    instruction that *provably* fits in the bytes received so far — the
+    cursor never starts an instruction unless a full ``_MAX_INSN``-byte
+    lookahead window is available, so a chunk boundary can never
+    manufacture a spurious truncation error.  ``finish`` drains the tail
+    once the region end is known, applying the same past-the-end check as
     :func:`iter_decode`.
+
+    The cursor keeps only the bytes from the next undecoded instruction on
+    (fewer than ``_MAX_INSN`` of them after a feed) and advances its
+    ``base`` past the rest, so each fed byte is copied a bounded number of
+    times, not once per later chunk.
 
     The decoded token sequence (and any :class:`DecodeError`, message
     included) is identical to a whole-buffer :func:`decode_all` of the
     concatenated chunks; tests pin this at adversarial split points.
     """
 
-    __slots__ = ("_code", "_cur", "_finished")
+    __slots__ = ("_cur", "_finished")
 
     def __init__(self, start: int = 0) -> None:
-        self._code = b""
         self._cur = _Cursor(b"", start)
         self._finished = False
 
     @property
     def pos(self) -> int:
         """Offset of the next undecoded byte."""
-        return self._cur.pos
+        return self._cur.base + self._cur.pos
 
     @property
     def buffered(self) -> int:
         """Total bytes fed so far."""
-        return len(self._code)
+        return self._cur.base + len(self._cur.code)
 
-    def feed(self, chunk: bytes) -> list[Instruction]:
-        """Absorb *chunk*, returning the newly completed instructions."""
+    def feed(self, chunk) -> list[Instruction]:
+        """Absorb *chunk* (any bytes-like object), returning the newly
+        completed instructions."""
         if self._finished:
             raise ValueError("feed() after finish()")
+        cur = self._cur
         if chunk:
-            self._code += bytes(chunk)
-            self._cur.code = self._code
+            keep = min(cur.pos, len(cur.code))
+            cur.code = cur.code[keep:] + chunk
+            cur.base += keep
+            cur.pos -= keep
         out: list[Instruction] = []
         append = out.append
-        cur = self._cur
         # Decode only while the architectural 15-byte lookahead is fully
         # buffered: any error raised here would also be raised by the
         # whole-buffer decode, and no truncation can be a chunking artifact.
-        safe = len(self._code) - _MAX_INSN
+        safe = len(cur.code) - _MAX_INSN
         while cur.pos <= safe:
             append(_decode_next(cur))
         return out
 
     def finish(self, end: int | None = None) -> list[Instruction]:
         """Drain the remaining tail; the stream ends at *end* (default: all
-        bytes fed).  Applies :func:`iter_decode`'s region-end check."""
+        bytes fed).  Applies :func:`iter_decode`'s region-end check, then
+        empties the decode's interning tables."""
         self._finished = True
         cur = self._cur
-        cur.code = self._code
-        end = len(self._code) if end is None else end
+        end = self.buffered if end is None else end
         out: list[Instruction] = []
         append = out.append
-        while cur.pos < end:
-            insn = _decode_next(cur)
-            if insn.end > end:
-                raise DecodeError(
-                    f"instruction at {insn.offset:#x} extends past region end {end:#x}"
-                )
-            append(insn)
+        try:
+            while cur.base + cur.pos < end:
+                insn = _decode_next(cur)
+                if insn.end > end:
+                    raise DecodeError(
+                        f"instruction at {insn.offset:#x} extends past "
+                        f"region end {end:#x}"
+                    )
+                append(insn)
+        finally:
+            cur.mems.clear()
+            cur.imms.clear()
+            cur.operand_sets.clear()
         return out

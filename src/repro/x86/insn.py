@@ -3,12 +3,17 @@
 Mirrors the metadata NaCl's disassembler attaches to each instruction (the
 paper, section 4 "Binary Disassembly": "the number of prefix bytes, number
 of opcode bytes and number of displacement bytes").  Policy modules consume
-these records, so the fields favour queryability over compactness.
+these records from a buffer that outlives the decode (the provider's delta
+index keeps the last eight labels' decodes), so a record costs one
+GC-tracked object: :class:`Instruction` is a tuple whose fields are read
+by name, and the decoder shares equal operands (:class:`Mem`,
+:class:`Imm` and whole operand tuples) between the records of one decode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .registers import Reg, reg_name
 
@@ -66,13 +71,17 @@ class Imm:
 Operand = Reg | Mem | Imm
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One decoded x86-64 instruction.
 
     *operands* are in AT&T order (source first, destination last) to match
     the listings in the paper.  Branch-like instructions store their decoded
     absolute *target* when it is statically known (rel8/rel32 forms).
+
+    A tuple-backed record: one GC-tracked object, immutable, compared and
+    hashed by its fields, built with the keyword constructor or (by the
+    decoder) with one ``tuple.__new__`` call.  Read it by field name; its
+    tuple-ness is a storage detail.
     """
 
     offset: int               # address relative to the text-section start

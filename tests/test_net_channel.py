@@ -174,3 +174,18 @@ class TestSecureChannel:
         # ciphertexts produced under different keys are not interchangeable
         with pytest.raises((CryptoError, NetError)):
             bad.recv()
+
+    def test_session_key_stays_out_of_the_shared_hmac_key_cache(self):
+        """Regression: the channel derived its nonces and keys through
+        hmac_sha256, which parked the session master key as raw bytes in
+        the process-global hmac_key LRU, where it outlived the channel."""
+        from repro.crypto import mac
+
+        session_key = b"channel master key under test!!!"
+        pair = SocketPair()
+        sender = SecureChannel(pair.left, session_key, is_server=False)
+        receiver = SecureChannel(pair.right, session_key, is_server=True)
+        sender.send(b"record")
+        assert receiver.recv() == b"record"
+        del sender, receiver
+        assert session_key not in mac._KEY_CACHE

@@ -116,25 +116,30 @@ def test_decoder_matches_reference_on_byte_fuzz():
         assert (new, new_err) == (old, old_err), blob.hex()
 
 
-def test_decoder_fast_construction_matches_dataclass_constructor():
-    """The __dict__-built Instruction equals a constructor-built one."""
+def test_decoder_fast_construction_matches_keyword_constructor():
+    """Every decoder-built record (one ``tuple.__new__`` call, interned
+    operands) equals and hashes like a keyword-built Instruction."""
+    from repro.elf import read_elf
     from repro.x86.insn import Instruction
 
-    insn = decode_one(bytes.fromhex("4889e5"), 0)  # mov %rsp,%rbp
-    rebuilt = Instruction(
-        offset=insn.offset,
-        raw=insn.raw,
-        mnemonic=insn.mnemonic,
-        operands=insn.operands,
-        num_prefix_bytes=insn.num_prefix_bytes,
-        num_opcode_bytes=insn.num_opcode_bytes,
-        num_displacement_bytes=insn.num_displacement_bytes,
-        num_immediate_bytes=insn.num_immediate_bytes,
-        has_modrm=insn.has_modrm,
-        target=insn.target,
-    )
-    assert rebuilt == insn
-    assert hash((insn.offset, insn.raw)) == hash((rebuilt.offset, rebuilt.raw))
+    blob = (GOLDEN / "instrumented.bin").read_bytes()
+    code = bytes(read_elf(blob).text_sections[0].data)
+    for insn in decode_all(code):
+        rebuilt = Instruction(
+            offset=insn.offset,
+            raw=insn.raw,
+            mnemonic=insn.mnemonic,
+            operands=insn.operands,
+            num_prefix_bytes=insn.num_prefix_bytes,
+            num_opcode_bytes=insn.num_opcode_bytes,
+            num_displacement_bytes=insn.num_displacement_bytes,
+            num_immediate_bytes=insn.num_immediate_bytes,
+            has_modrm=insn.has_modrm,
+            target=insn.target,
+        )
+        assert type(insn) is Instruction
+        assert rebuilt == insn, str(insn)
+        assert hash(rebuilt) == hash(insn)
 
 
 # --------------------------------------------------------------- metering

@@ -186,6 +186,27 @@ class TestStreamingPipeline:
         assert scan.bundle_violation == rebuilt.bundle_violation
         assert scan.n_bytes == rebuilt.n_bytes
 
+    def test_prescan_artifacts_match_the_record_classification(
+        self, demo_instrumented
+    ):
+        """The streamed and the rebuilt scan share one prescan loop, so
+        check its output against the records' own classification."""
+        raw = demo_instrumented.elf
+        scan = self._drive(raw, range(0, len(raw), 97)).finish()
+        insns = scan.instructions
+        indices = range(len(insns))
+        assert scan.by_offset == {insn.offset: i for i, insn in enumerate(insns)}
+        assert scan.branch_idx == [i for i in indices if insns[i].target is not None]
+        assert scan.term_idx == [i for i in indices if insns[i].is_terminator]
+        assert scan.direct_calls == [i for i in insns if i.is_direct_call]
+        assert scan.indirect_idx == [
+            i for i in indices
+            if insns[i].is_indirect_call or insns[i].is_indirect_jump
+        ]
+        assert scan.n_bytes == sum(insn.length for insn in insns) == len(scan.code)
+        assert scan.bundle_violation is None
+        assert len(scan.term_idx) > 0 and len(scan.direct_calls) > 0
+
     def test_single_byte_records_near_headers(self, demo_instrumented):
         raw = demo_instrumented.elf
         text = read_elf(raw).text_sections[0]

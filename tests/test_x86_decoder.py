@@ -228,6 +228,16 @@ class TestStreamDecoder:
             got = self._tokens(self._stream(code, [cut]))
             assert got == oracle, f"split at byte {cut} diverged"
 
+    def test_every_split_point_record_identical(self):
+        """Whole records, branch targets and operands included: the
+        decoder drops the bytes it has finished with on every feed, so
+        offsets and targets must come out absolute."""
+        code = self._code()
+        oracle = decode_all(code)
+        for cut in range(len(code) + 1):
+            assert self._stream(code, [cut]) == oracle, f"split at byte {cut}"
+        assert self._stream(code, range(1, len(code))) == oracle
+
     def test_byte_at_a_time_feed(self):
         code = self._code()
         assert self._tokens(self._stream(code, range(1, len(code)))) \
@@ -262,3 +272,34 @@ class TestStreamDecoder:
         dec.finish()
         with pytest.raises(ValueError):
             dec.feed(b"\x90")
+
+    def test_feed_copies_stay_bounded_by_the_chunk(self):
+        """Regression: feed() used to re-copy every byte fed so far, so a
+        text arriving in n records cost O(n^2) bytes of copying.  A small
+        feed after a large one must now allocate about the chunk, not the
+        history; ``pos`` and ``buffered`` keep their absolute meaning."""
+        import tracemalloc
+
+        from repro.x86 import StreamDecoder
+
+        unit = Enc.mov_imm(0x1122334455667788, RAX)  # 10 bytes
+        history = unit * 20_000
+        dec = StreamDecoder()
+        out = dec.feed(memoryview(history))
+        tracemalloc.start()
+        try:
+            worst = 0
+            for _ in range(8):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                out += dec.feed(unit)
+                worst = max(worst, tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert worst < len(history) // 8, worst
+        assert dec.buffered == len(history) + 8 * len(unit)
+        assert dec.pos == out[-1].end
+        out += dec.finish()
+        assert self._tokens(out) == self._tokens(
+            decode_all(history + 8 * unit)
+        )
