@@ -251,7 +251,8 @@ class CloudProvider:
         self.verdict_cache = verdict_cache
         #: per-benchmark delta index (chunk map + function-verdict memo)
         #: used to re-inspect only changed functions when the same client
-        #: re-provisions an updated binary
+        #: re-provisions an updated binary; a label's entry stays empty
+        #: until its second provisioning (see :meth:`_sight_label`)
         self._delta_index: "OrderedDict[str, DeltaIndex]" = OrderedDict()
         self._delta_index_cap = 8
 
@@ -349,13 +350,35 @@ class CloudProvider:
             self._update_delta_index(session, scan)
         return session.outcome.report
 
+    def _sight_label(self, label: str) -> DeltaIndex | None:
+        """Mark *label* as the most recently provisioned one and return
+        its delta-index entry, or None on the label's first sighting.
+
+        A first sighting only records the label, as an empty
+        :class:`DeltaIndex`, so a label provisioned once leaves no decoded
+        records behind.  The second sighting decodes in full and populates
+        the entry; the third and later splice from it.  The index keeps
+        the ``_delta_index_cap`` most recently sighted labels.
+        """
+        entries = self._delta_index
+        index = entries.get(label)
+        if index is not None:
+            entries.move_to_end(label)
+            return index
+        entries[label] = DeltaIndex()
+        while len(entries) > self._delta_index_cap:
+            entries.popitem(last=False)
+        return None
+
     def _update_delta_index(self, session: ProvisioningSession, scan) -> None:
         """Refresh the benchmark's delta index from a *verified* scan.
 
-        The index is only rebuilt from instruction tokens the disassembler
-        actually adopted (``disasm.scan is scan`` — the speculative scan
-        survived the exact-parse cross-check); a fallback run or a rejected
-        binary leaves the previous index untouched.
+        Only a scan that carried the label's memo (a repeat sighting, see
+        :meth:`_sight_label`) populates the entry, and only from tokens
+        the disassembler actually adopted (``disasm.scan is scan`` — the
+        speculative scan survived the exact-parse cross-check).  A
+        policy-rejected binary does populate it; a disasm-stage rejection
+        or a fallback run leaves the entry as it was.
         """
         outcome = session.outcome
         if outcome is None or outcome.disassembly is None:
@@ -364,17 +387,13 @@ class CloudProvider:
         if disasm.scan is not scan:
             return
         index = self._delta_index.get(session.benchmark)
-        if index is None:
-            index = DeltaIndex()
+        if index is None or scan.delta is not index.memo:
+            return
         text = disasm.image.text_sections[0]
         build_delta_index(
             index, text.data, scan,
             [addr for addr, _name in sorted(disasm.symtab.items())],
         )
-        self._delta_index[session.benchmark] = index
-        self._delta_index.move_to_end(session.benchmark)
-        while len(self._delta_index) > self._delta_index_cap:
-            self._delta_index.popitem(last=False)
 
     def _replay_cached_verdict(
         self,
@@ -450,10 +469,12 @@ class CloudProvider:
         (:meth:`SecureChannel.recv_into` — no per-record copies), and a
         :class:`StreamingPipeline` speculatively decodes and prescans the
         text section as its bytes land, so disassembly overlaps the
-        channel drain.  When a previous accepted image for the same
-        benchmark is indexed, decode-during-receive is skipped entirely
-        and the scan is spliced from the old one via the content-defined
-        chunk diff (:func:`delta_scan`).  Either way the scan is
+        channel drain.  When the benchmark label's delta entry is
+        populated (its third provisioning on), decode-during-receive is
+        skipped entirely and the scan is spliced from the indexed one via
+        the content-defined chunk diff (:func:`delta_scan`).  On a repeat
+        sighting the scan carries the label's function-verdict memo; on a
+        first sighting it carries none.  Either way the scan is
         *speculative*: the disassembler re-verifies it against the exact
         parse and falls back to its whole-buffer decode on any mismatch,
         so the verdict, wire bytes, and meter totals never depend on it.
@@ -481,9 +502,8 @@ class CloudProvider:
                 f"bad content header: {records} records for {total} bytes"
             )
         buf = bytearray(total)
-        prev = self._delta_index.get(session.benchmark)
-        if prev is not None and not prev.populated:
-            prev = None
+        index = self._sight_label(session.benchmark)
+        prev = index if index is not None and index.populated else None
         # Seeded decoder faults must hit the real decode stage, not the
         # speculative one, so the pipeline stands down and the
         # disassembler's whole-buffer decode (with its fault hooks) runs.
@@ -506,11 +526,7 @@ class CloudProvider:
                     scan = delta_scan(prev, text)
             else:
                 scan = pipeline.finish()
-        if scan is not None:
-            index = self._delta_index.get(session.benchmark)
-            if index is None:
-                index = DeltaIndex()
-                self._delta_index[session.benchmark] = index
+        if scan is not None and index is not None:
             scan.delta = index.memo
         return raw, scan
 

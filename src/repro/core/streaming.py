@@ -220,7 +220,7 @@ class StreamingPipeline:
             self._consume(insns)
         if self._fed == self.text_size:
             try:
-                self._consume(self._decoder.finish(self.text_size))
+                self._consume(self._decoder.finish())
             except DecodeError as exc:
                 self.error = exc
                 return

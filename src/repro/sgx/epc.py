@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..crypto.mac import hmac_key
+from ..crypto.mac import HmacKey
 from ..errors import EpcExhaustedError, SgxError
 from ..faults.hooks import fault_hook
 from .params import PAGE_SIZE
@@ -65,8 +65,9 @@ class Epc:
         self._hw_key = hardware_key
         # Prepared HMAC midstates for the integrity key: the MEE tags and
         # checks a page on every store/enclave read, so the per-call key
-        # preparation is hoisted to construction (same tag bytes).
-        self._integrity = hmac_key(hardware_key + b"integrity")
+        # preparation is hoisted to construction (same tag bytes).  The
+        # EPC holds its own copy, outside the shared hmac_key LRU.
+        self._integrity = HmacKey(hardware_key + b"integrity")
         # The keystream is a pure function of (hardware key, page index),
         # so it can be cached without weakening the simulation.
         self._keystream_cache: dict[int, bytes] = {}

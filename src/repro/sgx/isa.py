@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 
 from ..crypto import hmac_sha256
+from ..crypto.mac import HmacKey, constant_time_eq
 from ..errors import EnclaveSealedError, SgxError
 from .cpu import CycleMeter
 from .enclave import Enclave, EnclaveState, Secs
@@ -60,13 +61,12 @@ class SgxMachine:
         self.params = params or SgxParams()
         self.meter = meter or CycleMeter()
         # Device-unique root key; everything hardware-secret derives from it.
-        self._root_key = hmac_sha256(b"sgx-root", hardware_seed)
-        self._report_key = hmac_sha256(self._root_key, b"report-key")
-        self.epc = Epc(
-            self.params.epc_pages,
-            hmac_sha256(self._root_key, b"mee-key"),
-        )
-        self._paging_key = hmac_sha256(self._root_key, b"paging-key")
+        # The machine holds its own prepared keys: the shared hmac_key LRU
+        # would keep these device secrets after the machine is dropped.
+        self._root_hmac = HmacKey(hmac_sha256(b"sgx-root", hardware_seed))
+        self._report_hmac = HmacKey(self._root_hmac.mac(b"report-key"))
+        self.epc = Epc(self.params.epc_pages, self._root_hmac.mac(b"mee-key"))
+        self._paging_key = self._root_hmac.mac(b"paging-key")
         self._version_array = VersionArray()
         self.enclaves: dict[int, Enclave] = {}
         self._next_eid = 1
@@ -299,19 +299,19 @@ class SgxMachine:
             mrenclave=enclave.mrenclave,
             attributes=enclave.secs.attributes,
             report_data=report_data,
-            mac=hmac_sha256(self._report_key, body),
+            mac=self._report_hmac.mac(body),
         )
 
     def verify_report(self, report: Report) -> bool:
         """Check a report's MAC — only code on the same machine can."""
-        return hmac_sha256(self._report_key, report.body()) == report.mac
+        return constant_time_eq(self._report_hmac.mac(report.body()), report.mac)
 
     def egetkey(self, enclave: Enclave, key_name: bytes) -> bytes:
         """EGETKEY: derive an enclave-and-machine-specific key (sealing)."""
         if enclave.state is not EnclaveState.INITIALIZED:
             raise SgxError("EGETKEY before EINIT")
         self.meter.charge_sgx()
-        return hmac_sha256(self._root_key, b"seal" + enclave.mrenclave + key_name)
+        return self._root_hmac.mac(b"seal", enclave.mrenclave, key_name)
 
     # ---------------------------------------------------------- helpers
 

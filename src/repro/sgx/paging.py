@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..crypto.mac import hmac_key
+from ..crypto.mac import HmacKey
 from ..errors import SgxError
 from ..faults.hooks import DROP, fault_hook
 from .params import PAGE_SIZE
@@ -106,9 +106,9 @@ def seal_page(
         eid=eid, vaddr=vaddr, version=version, perms=perms,
         ciphertext=ciphertext, mac=b"",
     )
-    # hmac_key caches the paging key's ipad/opad midstates across every
-    # EWB/ELDU under the same key; the MAC bytes are unchanged.
-    mac = hmac_key(paging_key).mac(blob.body())
+    # A per-call HmacKey, not the shared hmac_key LRU, which would keep
+    # the device's paging key after the machine is dropped.
+    mac = HmacKey(paging_key).mac(blob.body())
     return EvictedPage(
         eid=eid, vaddr=vaddr, version=version, perms=perms,
         ciphertext=ciphertext, mac=mac,
@@ -130,7 +130,7 @@ def unseal_page(paging_key: bytes, blob: EvictedPage) -> bytes:
             eid=blob.eid, vaddr=blob.vaddr, version=blob.version,
             perms=blob.perms, ciphertext=ciphertext, mac=blob.mac,
         )
-    expected = hmac_key(paging_key).mac(
+    expected = HmacKey(paging_key).mac(
         EvictedPage(
             eid=blob.eid, vaddr=blob.vaddr, version=blob.version,
             perms=blob.perms, ciphertext=blob.ciphertext, mac=b"",

@@ -594,8 +594,8 @@ class StreamDecoder:
     cursor never starts an instruction unless a full ``_MAX_INSN``-byte
     lookahead window is available, so a chunk boundary can never
     manufacture a spurious truncation error.  ``finish`` drains the tail
-    once the region end is known, applying the same past-the-end check as
-    :func:`iter_decode`.
+    once the last byte has been fed (the region ends there), applying the
+    same past-the-end check as :func:`iter_decode`.
 
     The cursor keeps only the bytes from the next undecoded instruction on
     (fewer than ``_MAX_INSN`` of them after a feed) and advances its
@@ -644,13 +644,13 @@ class StreamDecoder:
             append(_decode_next(cur))
         return out
 
-    def finish(self, end: int | None = None) -> list[Instruction]:
-        """Drain the remaining tail; the stream ends at *end* (default: all
-        bytes fed).  Applies :func:`iter_decode`'s region-end check, then
-        empties the decode's interning tables."""
+    def finish(self) -> list[Instruction]:
+        """Drain the remaining tail; the stream ends at the last byte fed.
+        Applies :func:`iter_decode`'s region-end check, then empties the
+        decode's interning tables."""
         self._finished = True
         cur = self._cur
-        end = self.buffered if end is None else end
+        end = self.buffered
         out: list[Instruction] = []
         append = out.append
         try:

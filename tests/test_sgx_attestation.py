@@ -65,6 +65,43 @@ class TestReport:
         forged = dataclasses.replace(report, mrenclave=b"\x00" * 32)
         assert not machine.verify_report(forged)
 
+    def test_device_keys_stay_out_of_the_shared_hmac_lru(self):
+        """Regression: the root and report keys were prepared through the
+        process-wide ``hmac_key`` LRU, which kept them after the machine
+        was dropped.  The machine, its EPC and EWB/ELDU now prepare their
+        own keys, and every derived byte is what plain HMAC-SHA256 gives."""
+        from repro.crypto import mac
+        from repro.crypto.ref import ref_hmac_sha256
+
+        machine = SgxMachine(
+            SgxParams(epc_pages=32, heap_initial_pages=2),
+            hardware_seed=b"probe-seed",
+        )
+        enclave = machine.ecreate(BASE, 0x40000)
+        machine.add_measured_page(enclave, BASE, b"engarde bootstrap")
+        machine.einit(enclave)
+        report = machine.ereport(enclave, b"data")
+        assert machine.verify_report(report)
+        seal_key = machine.egetkey(enclave, b"seal-key")
+        machine.eldu(enclave, machine.ewb(enclave, BASE))
+
+        root = ref_hmac_sha256(b"sgx-root", b"probe-seed")
+        device_keys = {
+            "root": root,
+            "report": ref_hmac_sha256(root, b"report-key"),
+            "paging": ref_hmac_sha256(root, b"paging-key"),
+            "MEE integrity": ref_hmac_sha256(root, b"mee-key") + b"integrity",
+        }
+        assert machine._paging_key == device_keys["paging"]
+        assert machine.epc._hw_key + b"integrity" == device_keys["MEE integrity"]
+        assert report.mac == ref_hmac_sha256(device_keys["report"], report.body())
+        assert seal_key == ref_hmac_sha256(
+            root, b"seal" + enclave.mrenclave + b"seal-key"
+        )
+        cached = [name for name, key in device_keys.items()
+                  if key in mac._KEY_CACHE]
+        assert cached == []
+
 
 class TestQuote:
     def test_quote_verifies(self, machine, enclave, qe):

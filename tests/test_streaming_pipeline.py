@@ -38,6 +38,8 @@ from repro.core.streaming import (
     cdc_chunks,
     delta_scan,
 )
+from repro.crypto import HmacDrbg
+from repro.crypto.rsa import generate_keypair
 from repro.elf import read_elf
 from repro.faults import FakeClock, FaultPlan, FaultSpec, injected
 from repro.x86 import iter_decode
@@ -424,6 +426,37 @@ class TestDeltaScan:
 
 
 class TestDeltaProvisioning:
+    """A label enters the provider's delta index on its second provisioning.
+
+    The first provisioning of a label only records it, as an empty entry,
+    and its scan carries no function-verdict memo; the second decodes in
+    full with the memo recording and populates the entry; the third and
+    later splice their scan from it.  Every op that reaches the content
+    receive keeps the index within its cap.
+    """
+
+    LABEL = "client"  # EnclaveClient's default benchmark label
+
+    @pytest.fixture(scope="class")
+    def keypair(self):
+        """Pre-generated channel key so each provisioning run skips keygen."""
+        return generate_keypair(768, HmacDrbg(b"delta-provisioning-keypair"))
+
+    @staticmethod
+    def _spy_on_delta_scan(monkeypatch) -> list:
+        """Record every scan ``delta_scan`` hands the provider."""
+        from repro.core import provisioning as prov_module
+
+        spliced = []
+
+        def spy(index, text):
+            scan = st.delta_scan(index, text)
+            spliced.append(scan)
+            return scan
+
+        monkeypatch.setattr(prov_module, "delta_scan", spy)
+        return spliced
+
     def _v2_one_immediate_flipped(self, raw: bytes) -> bytes:
         """Same binary with one mov-immediate byte flipped inside .text."""
         text = read_elf(raw).text_sections[0]
@@ -436,26 +469,116 @@ class TestDeltaProvisioning:
                 return bytes(mutated)
         raise AssertionError("no mov imm32 found in the demo text")
 
+    @staticmethod
+    def _undecodable(raw: bytes) -> bytes:
+        """The binary with ``0x06`` (invalid in 64-bit mode) written at its
+        51st instruction start, so inspection rejects it at ``disasm``."""
+        text = read_elf(raw).text_sections[0]
+        insns = list(iter_decode(text.data, 0, len(text.data)))
+        mutated = bytearray(raw)
+        mutated[text.offset + insns[50].offset] = 0x06
+        return bytes(mutated)
+
+    def test_first_sighting_retains_nothing(
+        self, monkeypatch, all_policies, demo_instrumented, keypair
+    ):
+        spliced = self._spy_on_delta_scan(monkeypatch)
+        provider = small_provider(all_policies, channel_keypair=keypair)
+        result = provision(provider, EnclaveClient(
+            demo_instrumented.elf, policies=all_policies,
+        ))
+        assert result.accepted and not spliced
+        scan = result.outcome.disassembly.scan
+        assert scan is not None and scan.delta is None
+        entry = provider._delta_index[self.LABEL]
+        assert not entry.populated and entry.instructions == []
+
+    def test_second_sighting_decodes_in_full_and_populates_the_index(
+        self, monkeypatch, all_policies, demo_instrumented, keypair
+    ):
+        spliced = self._spy_on_delta_scan(monkeypatch)
+        provider = small_provider(all_policies, channel_keypair=keypair)
+        for _ in range(2):
+            second = provision(provider, EnclaveClient(
+                demo_instrumented.elf, policies=all_policies,
+            ))
+            assert second.accepted
+        assert not spliced
+        scan = second.outcome.disassembly.scan
+        entry = provider._delta_index[self.LABEL]
+        assert entry.populated
+        assert entry.instructions is scan.instructions
+        # the memo rode the full decode and recorded its verdicts
+        assert scan.delta is entry.memo and entry.memo._entries
+
+    def test_third_sighting_splices_from_the_index(
+        self, monkeypatch, all_policies, demo_instrumented, keypair
+    ):
+        spliced = self._spy_on_delta_scan(monkeypatch)
+        provider = small_provider(all_policies, channel_keypair=keypair)
+        for _ in range(2):
+            assert provision(provider, EnclaveClient(
+                demo_instrumented.elf, policies=all_policies,
+            )).accepted
+        third = provision(provider, EnclaveClient(
+            demo_instrumented.elf, policies=all_policies,
+        ))
+        assert third.accepted
+        assert len(spliced) == 1 and spliced[0] is not None
+        assert third.outcome.disassembly.scan is spliced[0]
+        entry = provider._delta_index[self.LABEL]
+        # identical text: the spliced scan is the indexed decode itself
+        assert spliced[0].instructions is entry.instructions
+        assert spliced[0].delta is entry.memo
+
+    def test_one_shot_labels_leave_no_decoded_records(
+        self, all_policies, demo_instrumented, keypair
+    ):
+        """Regression: every first sighting used to keep its full decode,
+        so the index held the records of the last eight one-shot labels."""
+        provider = small_provider(all_policies, channel_keypair=keypair)
+        cap = provider._delta_index_cap
+        for i in range(cap + 1):
+            assert provision(provider, EnclaveClient(
+                demo_instrumented.elf, policies=all_policies,
+                benchmark=f"cold-{i}",
+            )).accepted
+        entries = provider._delta_index
+        assert len(entries) == cap
+        assert [label for label, entry in entries.items()
+                if entry.populated or entry.instructions] == []
+
+    def test_disasm_rejections_stay_within_the_cap(
+        self, all_policies, demo_instrumented, keypair
+    ):
+        """Regression: the receive inserted a label's entry but only an
+        index update evicted, and a disasm-stage rejection never reaches
+        one, so fresh-label rejections grew the index past its cap."""
+        bad = self._undecodable(demo_instrumented.elf)
+        provider = small_provider(all_policies, channel_keypair=keypair)
+        cap = provider._delta_index_cap
+        for i in range(cap + 4):
+            result = provision(provider, EnclaveClient(
+                bad, policies=all_policies, benchmark=f"cold-{i}",
+            ))
+            assert not result.accepted
+            assert result.report.rejected_stage == "disasm"
+        assert len(provider._delta_index) <= cap
+
     def test_delta_run_matches_cold_run(
         self, monkeypatch, all_policies, demo_instrumented
     ):
-        """v2 after v1 rides the delta index; v2 on a provider that has
-        never seen the label is inspected cold.  Same report bytes, same
-        per-phase meter charges."""
-        from repro.core import provisioning as prov_module
-
+        """v2 after two provisionings of v1 rides the delta index; v2 on a
+        provider that has never seen the label is inspected cold.  Same
+        report bytes, same per-phase meter charges."""
         v1 = demo_instrumented.elf
         v2 = self._v2_one_immediate_flipped(v1)
-        spliced = []
-
-        def spy(index, text):
-            scan = st.delta_scan(index, text)
-            spliced.append(scan)
-            return scan
-
-        monkeypatch.setattr(prov_module, "delta_scan", spy)
+        spliced = self._spy_on_delta_scan(monkeypatch)
         warm = small_provider(all_policies)
-        assert provision(warm, EnclaveClient(v1, policies=all_policies)).accepted
+        for _ in range(2):
+            assert provision(
+                warm, EnclaveClient(v1, policies=all_policies)
+            ).accepted
         assert not spliced
         warm.machine.meter.reset()  # count v2's charges alone
         delta = provision(warm, EnclaveClient(v2, policies=all_policies))
@@ -476,19 +599,24 @@ class TestDeltaProvisioning:
     def test_swapped_binary_is_reinspected_not_stale_accepted(
         self, all_policies, demo_instrumented, demo_plain
     ):
-        """After an ACCEPT of v1, provisioning a *different* (and
+        """After two ACCEPTs of v1 (the second records its function
+        verdicts in the memo), provisioning a *different* (and
         non-compliant) binary under the same benchmark label must be
         re-inspected and rejected — never served a stale verdict."""
         provider = small_provider(all_policies)
-        first = provision(provider, EnclaveClient(
-            demo_instrumented.elf, policies=all_policies,
-        ))
-        assert first.accepted
-        second = provision(provider, EnclaveClient(
+        for _ in range(2):
+            accepted = provision(provider, EnclaveClient(
+                demo_instrumented.elf, policies=all_policies,
+            ))
+            assert accepted.accepted
+        memo = provider._delta_index[self.LABEL].memo
+        assert accepted.outcome.disassembly.scan.delta is memo
+        assert memo._entries
+        swapped = provision(provider, EnclaveClient(
             demo_plain.elf, policies=all_policies,
         ))
-        assert not second.accepted
-        assert second.report.policies_failed
+        assert not swapped.accepted
+        assert swapped.report.policies_failed
 
 
 class TestStreamedFaultInjection:

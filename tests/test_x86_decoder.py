@@ -214,7 +214,7 @@ class TestStreamDecoder:
             out += dec.feed(code[prev:cut])
             prev = cut
         out += dec.feed(code[prev:])
-        out += dec.finish(len(code))
+        out += dec.finish()
         return out
 
     @staticmethod
@@ -263,6 +263,22 @@ class TestStreamDecoder:
         with pytest.raises(DecodeError) as streamed:
             self._stream(code, range(3, len(code), 3))
         assert str(streamed.value) == str(whole.value)
+
+    def test_finish_ends_the_region_at_the_last_byte_fed(self):
+        """Regression: ``finish(end)`` with *end* below the bytes fed
+        returned records past *end* (86 for 100 ``nop``s and end 50, where
+        ``decode_all(code, 0, 50)`` gives 50).  The region now always ends
+        at the last byte fed, and no other end can be named."""
+        from repro.x86 import StreamDecoder
+
+        code = Enc.nop(1) * 100
+        dec = StreamDecoder()
+        out = dec.feed(code[:50])
+        out += dec.feed(code[50:])
+        out += dec.finish()
+        assert out == decode_all(code)
+        with pytest.raises(TypeError):
+            StreamDecoder().finish(50)
 
     def test_feed_after_finish_raises(self):
         from repro.x86 import StreamDecoder
