@@ -16,14 +16,10 @@ Usage::
     python -m repro serve --port 0  # long-lived inspection daemon on TCP;
                                     # prints one JSON announce line, stops
                                     # gracefully on SIGTERM/SIGINT
-    python -m repro serve --shards 4 --store /var/lib/engarde
-                                    # sharded provider fleet, one TCP port
-                                    # per shard, verdicts durable in the
-                                    # shared content-addressed store
-    python -m repro fleet-bench --shards 4 --clients 100
-                                    # cold vs warm-restart fleet storm;
-                                    # exits non-zero on any divergence
-                                    # from the serial oracle or any hang
+    python -m repro serve --port 0 --store /var/lib/engarde
+                                    # the same daemon with its verdicts
+                                    # durable in a content-addressed store;
+                                    # a restart over DIR answers from it
 """
 
 from __future__ import annotations
@@ -191,7 +187,10 @@ def _serve(args) -> int:
     :class:`~repro.service.InspectionClient` needs to attest and
     connect.  SIGTERM/SIGINT trigger a graceful drain: in-flight
     inspections are answered, new connections refused, then the process
-    exits 0 with a final metrics summary on stderr.
+    exits 0 with a final metrics summary on stderr.  With ``--store DIR``
+    the daemon's cache is a :class:`~repro.service.TieredCache` over a
+    :class:`~repro.service.VerdictStore` in DIR, so verdicts survive the
+    process and a restart over DIR is warm from its first request.
     """
     import json
     import signal
@@ -199,63 +198,19 @@ def _serve(args) -> int:
 
     from .core.policy import PolicyRegistry
     from .harness.runner import make_policy
-    from .service import FleetCoordinator, InspectionDaemon
+    from .service import InspectionDaemon, TieredCache, VerdictStore
     from .toolchain import build_libc
 
     t0 = time.time()
     libc = build_libc()
     policies = PolicyRegistry([make_policy(args.policy, libc)])
-
-    if args.shards > 1 or args.store:
-        # the sharded fleet: one TCP port per shard, optional shared
-        # on-disk verdict store, one announce record for the whole ring
-        fleet = FleetCoordinator(
-            policies,
-            shards=args.shards,
-            store=args.store,
-            pool_size=args.pool_size,
-            rsa_bits=args.rsa_bits,
-            heap_pages=64,
-            client_pages=64,
-            enclave_pages=0x2000,
-            read_timeout=args.read_timeout,
-            max_connections=args.max_connections,
-            inspector_mode=args.inspector_mode,
-            workers=args.workers,
-        )
-        fleet.start()
-        endpoints = fleet.start_tcp(args.host)
-        print(json.dumps(fleet.announce()), flush=True)
-        print(
-            f"# inspection fleet ready: "
-            + ", ".join(f"{sid}@{h}:{p}" for sid, h, p in endpoints)
-            + f" ({time.time() - t0:.1f}s warm-up); SIGTERM to drain",
-            file=sys.stderr, flush=True,
-        )
-        stop = threading.Event()
-
-        def _on_signal(signum, frame) -> None:
-            stop.set()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-        t_up = time.monotonic()
-        try:
-            while not stop.is_set():
-                stop.wait(0.2)
-                if args.max_uptime and time.monotonic() - t_up >= args.max_uptime:
-                    break
-        finally:
-            fleet.stop()
-        counters = fleet.status()["counters"]
-        print(f"# fleet stopped; counters: {json.dumps(counters)}",
-              file=sys.stderr, flush=True)
-        return 0
+    cache = TieredCache(VerdictStore(args.store), 4096) if args.store else None
 
     daemon = InspectionDaemon(
         policies,
         inspector_mode=args.inspector_mode,
         workers=args.workers,
+        cache=cache,
         pool_size=args.pool_size,
         rsa_bits=args.rsa_bits,
         heap_pages=64,
@@ -299,93 +254,6 @@ def _serve(args) -> int:
     return 0
 
 
-def _fleet_bench(args) -> int:
-    """``python -m repro fleet-bench``: the cold vs warm fleet storm.
-
-    Builds an N-shard :class:`~repro.service.FleetCoordinator` over a
-    shared :class:`~repro.service.VerdictStore`, drives a deterministic
-    variant corpus from ``--clients`` concurrent tenants (cold), then
-    tears the whole fleet down and repeats the identical storm on a
-    fresh fleet over the same store directory (warm restart).  Every
-    delivered verdict is compared byte-for-byte against the serial
-    :class:`~repro.core.EnGarde` oracle; exits non-zero on any
-    divergence, hang, or untyped worker error.  The same storm driver
-    backs ``benchmarks/bench_fleet.py``.
-    """
-    import json
-    import tempfile
-
-    from .core import EnGarde
-    from .core.policy import PolicyRegistry
-    from .harness.runner import make_policy
-    from .service import FleetCoordinator, VerdictStore, run_fleet_storm
-    from .service.corpus import generate_variant_corpus
-    from .toolchain import build_libc
-
-    t0 = time.time()
-    libc = build_libc()
-    policies = PolicyRegistry([make_policy(args.policy, libc)])
-    corpus = generate_variant_corpus(args.corpus_size, libc=libc)
-    oracle = {}
-    engarde = EnGarde(policies)
-    for label, raw in corpus:
-        oracle[label] = engarde.inspect(
-            raw, benchmark=label
-        ).report.serialize()
-
-    store_dir = args.store or tempfile.mkdtemp(prefix="repro-fleet-bench-")
-
-    def storm() -> dict:
-        fleet = FleetCoordinator(
-            policies,
-            shards=args.shards,
-            store=VerdictStore(store_dir, fsync=False),
-            rsa_bits=args.rsa_bits,
-            heap_pages=64, client_pages=64, enclave_pages=0x2000,
-            max_connections=max(args.max_connections, args.clients),
-        )
-        fleet.start()
-        try:
-            result = run_fleet_storm(
-                fleet, corpus,
-                clients=args.clients, per_client=args.per_client,
-                oracle=oracle,
-            )
-            result["store"] = fleet.status()["store"]
-            return result
-        finally:
-            fleet.stop()
-
-    cold = storm()
-    warm = storm()
-    ratio = (
-        warm["submissions_per_second"] / cold["submissions_per_second"]
-        if cold["submissions_per_second"] else 0.0
-    )
-    payload = {
-        "schema": "fleet_bench/1",
-        "shards": args.shards,
-        "store_dir": store_dir,
-        "cold": cold,
-        "warm_restart": warm,
-        "warm_over_cold": round(ratio, 2),
-        "wall_seconds": round(time.time() - t0, 1),
-    }
-    print(json.dumps(payload, indent=2))
-    problems = []
-    for leg, result in (("cold", cold), ("warm_restart", warm)):
-        if result["divergences"]:
-            problems.append(f"{leg}: {result['divergences']} divergence(s)")
-        if result["hung_clients"]:
-            problems.append(f"{leg}: hung clients {result['hung_clients']}")
-        if result["worker_errors"]:
-            problems.append(f"{leg}: {result['worker_errors']}")
-    if problems:
-        print("FAIL: " + "; ".join(problems), file=sys.stderr)
-        return 1
-    return 0
-
-
 def _positive_int(value: str) -> int:
     n = int(value)
     if n < 1:
@@ -413,15 +281,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "target",
         choices=["fig2", "fig3", "fig4", "fig5", "all", "demo",
-                 "inspect-batch", "profile", "chaos", "serve",
-                 "fleet-bench"],
+                 "inspect-batch", "profile", "chaos", "serve"],
         help="which table/figure to regenerate, 'inspect-batch' to "
              "drive the batched inspection service, 'profile' to "
              "cProfile a corpus inspection and print the hot spots, "
              "'chaos' to run the seeded fault-injection soak, "
-             "'serve' to run the long-lived inspection daemon (or "
-             "sharded fleet) on TCP, or 'fleet-bench' for the cold vs "
-             "warm-restart fleet storm",
+             "or 'serve' to run the long-lived inspection daemon on TCP",
     )
     parser.add_argument(
         "--scale", type=float, default=1.0,
@@ -521,14 +386,11 @@ def main(argv: list[str] | None = None) -> int:
         help="self-stop after this many seconds (CI smoke guard)",
     )
     serve_group.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="provider shards in the fleet (1 = single daemon; >1 "
-             "consistent-hashes submissions by content digest)",
-    )
-    serve_group.add_argument(
         "--store", metavar="DIR", default=None,
-        help="directory for the shared on-disk verdict store (enables "
-             "warm restarts; created if missing)",
+        help="directory of the on-disk verdict store the daemon's cache "
+             "writes through to; a daemon restarted over the same DIR "
+             "answers every stored verdict without inspecting (created "
+             "if missing)",
     )
     serve_group.add_argument(
         "--inspector-mode", default="serial",
@@ -536,16 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         help="daemon inspector backend: 'serial' funnels through one "
              "warm EnGarde; 'process' fans concurrent submissions over "
              "the zero-copy shared-memory executor",
-    )
-    fleet_group = parser.add_argument_group("fleet-bench options")
-    fleet_group.add_argument(
-        "--clients", type=_positive_int, default=100,
-        help="concurrent simulated tenants per storm leg",
-    )
-    fleet_group.add_argument(
-        "--per-client", type=_positive_int, default=4,
-        help="submissions each tenant makes (a rotation slice of the "
-             "variant corpus)",
     )
     profile_group = parser.add_argument_group("profile options")
     profile_group.add_argument(
@@ -571,9 +423,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.target == "serve":
         return _serve(args)
-
-    if args.target == "fleet-bench":
-        return _fleet_bench(args)
 
     if args.target == "inspect-batch":
         from .harness.runner import run_batch

@@ -102,11 +102,6 @@ class StoreError(ServiceError):
     never as a false verdict hit."""
 
 
-class FleetError(ServiceError):
-    """The sharded provider fleet could not place or serve a submission
-    (no live shards, unknown shard id, coordinator misconfiguration)."""
-
-
 class DeadlineExceededError(ServiceError):
     """An inspection exceeded its per-item deadline across all retries."""
 

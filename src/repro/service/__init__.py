@@ -20,7 +20,9 @@ On top of all of it sits the long-lived serving layer (see
 ``docs/DAEMON.md``): :class:`InspectionDaemon` keeps the whole stack
 warm behind a framed, versioned socket protocol with per-connection
 attestation, and :class:`InspectionClient` is the tenant SDK that
-verifies the daemon before trusting a single verdict.
+verifies the daemon before trusting a single verdict.  Given a
+:class:`TieredCache` over a :class:`VerdictStore`, the daemon's
+verdicts outlive the process.
 """
 
 from .batch import (
@@ -44,17 +46,11 @@ from .client import (
     device_key_from_announce,
 )
 from .corpus import VARIANT_KINDS, generate_variant_corpus
-from .daemon import ZERO_SHARD, InspectionDaemon
-from .fleet import ConsistentHashRing, FleetCoordinator, run_fleet_storm
+from .daemon import InspectionDaemon
 from .metrics import DaemonMetrics, LatencyHistogram
 from .pool import EnclavePool, PooledEnclave
 from .shm import ArenaTicket, SharedArena
-from .store import (
-    ZERO_STORE,
-    TieredCache,
-    TieredProvisioningVerdictCache,
-    VerdictStore,
-)
+from .store import ZERO_STORE, TieredCache, VerdictStore
 
 __all__ = [
     "BatchInspector", "BatchItemResult", "BatchReport", "BatchSummary",
@@ -63,9 +59,7 @@ __all__ = [
     "InspectionCache", "ProvisioningVerdictCache", "CacheStats", "cache_key",
     "generate_variant_corpus", "VARIANT_KINDS",
     "InspectionDaemon", "InspectionClient", "ClientVerdict", "RemoteError",
-    "device_key_from_announce", "ZERO_SHARD",
+    "device_key_from_announce",
     "EnclavePool", "PooledEnclave", "DaemonMetrics", "LatencyHistogram",
-    "VerdictStore", "TieredCache", "TieredProvisioningVerdictCache",
-    "ZERO_STORE",
-    "FleetCoordinator", "ConsistentHashRing", "run_fleet_storm",
+    "VerdictStore", "TieredCache", "ZERO_STORE",
 ]

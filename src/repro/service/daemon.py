@@ -6,10 +6,14 @@ batch.  :class:`InspectionDaemon` is the persistent front-end:
 
 * it owns a **warm** :class:`~repro.service.batch.BatchInspector` (one
   long-lived EnGarde with its prescan/policy caches), a shared
-  :class:`~repro.service.cache.InspectionCache`, a
-  :class:`~repro.service.cache.ProvisioningVerdictCache`, and an
+  :class:`~repro.service.cache.InspectionCache`, and an
   :class:`~repro.service.pool.EnclavePool` of pre-built, attestable
   enclaves,
+* handed a :class:`~repro.service.store.TieredCache` as its cache, it
+  keeps verdicts durable in an on-disk
+  :class:`~repro.service.store.VerdictStore`, so a daemon restarted over
+  the same directory answers every verdict it already published from
+  the store (``repro serve --store DIR``),
 * it serves the framed, versioned protocol of
   :mod:`repro.service.protocol` over any :mod:`repro.net` backend — the
   thread-safe in-memory :class:`~repro.net.QueueSocket` for hermetic
@@ -24,7 +28,7 @@ batch.  :class:`InspectionDaemon` is the persistent front-end:
   unknown verb is a typed protocol error, never undefined behaviour),
 * ``STATUS`` and ``METRICS`` verbs expose health and a full JSON
   metrics dump (cache hit ratios, per-stage latency histograms,
-  quarantine/backlog state, uptime, request counters),
+  quarantine/backlog state, store counters, uptime, request counters),
 * :meth:`stop` drains: in-flight inspections finish and answer, new
   connections are refused, and the warm state (caches, quarantine,
   pool) survives for the next :meth:`start`.
@@ -61,23 +65,12 @@ from ..faults.clock import Clock, SystemClock
 from ..net import QueueSocket, TcpListener, queue_pair
 from . import protocol as proto
 from .batch import BatchInspector, BatchItemResult
-from .cache import InspectionCache, ProvisioningVerdictCache
+from .cache import InspectionCache
 from .metrics import DaemonMetrics
 from .pool import EnclavePool, PooledEnclave
-from .store import ZERO_STORE
+from .store import ZERO_STORE, TieredCache
 
-__all__ = ["InspectionDaemon", "ZERO_SHARD"]
-
-#: Always-present shard-identity schema for STATUS/METRICS, mirroring
-#: the ``ZERO_RESILIENCE`` pattern: a fleetless daemon reports exactly
-#: these zeroed fields, a fleet shard reports the same keys filled in —
-#: dashboards never branch on key presence.
-ZERO_SHARD = {
-    "fleeted": False,
-    "shard_id": "",
-    "shard_index": 0,
-    "fleet_size": 0,
-}
+__all__ = ["InspectionDaemon"]
 
 #: counters pre-declared so the METRICS schema is stable from request one
 _COUNTERS = tuple(
@@ -137,7 +130,6 @@ class InspectionDaemon:
         inspector_mode: str = "serial",
         workers: int | None = None,
         cache: InspectionCache | None = None,
-        verdict_cache: ProvisioningVerdictCache | None = None,
         pool: EnclavePool | None = None,
         pool_size: int = 2,
         rsa_bits: int = 1024,
@@ -152,27 +144,13 @@ class InspectionDaemon:
         clock: Clock | None = None,
         rng: HmacDrbg | None = None,
         metrics: DaemonMetrics | None = None,
-        shard_id: str = "",
-        shard_index: int = 0,
-        fleet_size: int = 0,
-        store=None,
     ) -> None:
         self.policies = policies
-        #: fleet identity (zeroed when fleetless — see ``ZERO_SHARD``)
-        self.shard_id = shard_id
-        self.shard_index = shard_index
-        self.fleet_size = fleet_size
-        #: shared on-disk VerdictStore, if this daemon is store-backed
-        self.store = store
         self.clock = clock or SystemClock()
         self.rng = rng or HmacDrbg(b"inspection-daemon")
         self.read_timeout = read_timeout
         self.max_connections = max_connections
         self.cache = cache if cache is not None else InspectionCache(4096)
-        self.verdict_cache = (
-            verdict_cache if verdict_cache is not None
-            else ProvisioningVerdictCache(1024)
-        )
         # ``serial`` (default): one warm EnGarde, daemon threads funnel
         # through ``_inspect_lock``.  ``process``: the zero-copy
         # shared-memory executor — handler threads submit concurrently
@@ -626,21 +604,20 @@ class InspectionDaemon:
             "uptime_seconds": round(self.uptime_seconds, 3),
         }
 
-    def announce(self, host: str | None = None, port: int | None = None) -> dict:
+    def announce(self) -> dict:
         """Out-of-band bootstrap record (the IAS-published analogue):
-        endpoint, device public key, policy digest, geometry."""
+        TCP endpoint (``None`` when not listening), device public key,
+        policy digest, geometry."""
         key = self.pool.quoting_enclave.device_public_key
-        doc = {
-            "host": host, "port": port,
+        listener = self._listener
+        return {
+            "host": listener.host if listener is not None else None,
+            "port": listener.port if listener is not None else None,
             "protocol_version": proto.PROTOCOL_VERSION,
             "policy_digest": self.policy_digest,
             "device_key": {"n": f"{key.n:x}", "e": key.e},
             "geometry": self.hello_info()["geometry"],
         }
-        if self._listener is not None:
-            doc["host"] = host or self._listener.host
-            doc["port"] = port or self._listener.port
-        return doc
 
     def expected_mrenclave(self) -> bytes:
         """What every pooled enclave must measure to (for tests)."""
@@ -651,22 +628,12 @@ class InspectionDaemon:
             enclave_pages=self.pool.enclave_pages,
         )
 
-    def shard_info(self) -> dict:
-        """Always-present shard identity (``ZERO_SHARD`` when fleetless)."""
-        if not self.shard_id and self.fleet_size == 0:
-            return dict(ZERO_SHARD)
-        return {
-            "fleeted": True,
-            "shard_id": self.shard_id,
-            "shard_index": self.shard_index,
-            "fleet_size": self.fleet_size,
-        }
-
     def store_info(self) -> dict:
-        """Always-present store stats (``ZERO_STORE`` when storeless)."""
-        if self.store is None:
+        """Always-present store stats (``ZERO_STORE`` unless the cache is
+        a :class:`~repro.service.store.TieredCache`)."""
+        if not isinstance(self.cache, TieredCache):
             return dict(ZERO_STORE)
-        return self.store.stats()
+        return self.cache.store.stats()
 
     def status(self) -> dict:
         """The ``/healthz``-style summary served by ``STATUS``."""
@@ -686,7 +653,6 @@ class InspectionDaemon:
                 len(quarantine) if quarantine is not None else 0
             ),
             "cache_entries": len(self.cache) if self.cache is not None else 0,
-            "shard": self.shard_info(),
             "store": self.store_info(),
         }
 
@@ -704,7 +670,6 @@ class InspectionDaemon:
             "cache": (
                 self.cache.stats().as_dict() if self.cache is not None else None
             ),
-            "verdict_cache": self.verdict_cache.stats().as_dict(),
             "quarantine": {
                 "keys": len(quarantine) if quarantine is not None else 0,
                 "threshold": (
@@ -714,9 +679,8 @@ class InspectionDaemon:
             # The stable (always-present, zeroed when idle) resilience
             # schema BatchSummary shares; see docs/RESILIENCE.md.
             "resilience": self.inspector.resilience_stats(),
-            # Same pattern for fleet identity and the on-disk verdict
-            # store; see docs/FLEET.md.
-            "shard": self.shard_info(),
+            # Same pattern for the on-disk verdict store; see
+            # docs/DAEMON.md, "Durable verdicts".
             "store": self.store_info(),
         }
         snap.update(self.metrics.snapshot())

@@ -1,15 +1,14 @@
-"""Persistent, content-addressed verdict store for the provider fleet.
+"""Persistent, content-addressed verdict store for the inspection daemon.
 
 The in-memory :class:`~repro.service.cache.InspectionCache` makes one
-daemon fast *while it lives*; a provider fleet also needs the "judge the
-binary once, reuse the attested verdict" economy to survive restarts
-and shard churn.  :class:`VerdictStore` is the durable tier:
+daemon fast *while it lives*; the provider also needs the "judge the
+binary once, reuse the attested verdict" economy to survive restarts.
+:class:`VerdictStore` is the durable tier:
 
 * **content-addressed layout** — one blob per cache key
-  (``(sha256(elf), policy digest[, geometry...])``), filed under the
-  sha256 of the joined key, so any number of shards can share one store
-  directory without coordination and a rebalanced shard is warm for
-  every key it inherits,
+  (``(sha256(elf), policy digest)``), filed under the sha256 of the
+  joined key, so a daemon restarted over the same directory finds every
+  verdict it published without an index to rebuild,
 * **crash-consistent writes** — every publish goes to a temp file in
   the same directory, is flushed and ``fsync``-ed, then atomically
   ``os.replace``-d into place.  A reader concurrent with a publish (or
@@ -24,14 +23,16 @@ and shard churn.  :class:`VerdictStore` is the durable tier:
   typed error, never a false verdict hit**,
 * **startup recovery** — :meth:`recover` (run by the constructor)
   sweeps the directory, deletes leftover temp files from interrupted
-  publishes, and discards every blob that fails validation, so a fleet
+  publishes, and discards every blob that fails validation, so a daemon
   restarted over a crashed store serves only verdicts that verify.
 
 :class:`TieredCache` stacks the existing in-memory LRU on top: memory
 first, then the store (promoting hits), with puts written through.  It
-is a drop-in :class:`InspectionCache`, so the :class:`BatchInspector`,
-the daemon, and the provisioning path pick up persistence without
-touching the inspection pipeline.
+is a drop-in :class:`InspectionCache`: ``repro serve --store DIR`` hands
+one to :class:`~repro.service.daemon.InspectionDaemon` as its ``cache``,
+and the daemon's :class:`BatchInspector` picks up persistence without
+touching the inspection pipeline.  The daemon's ``store`` block in
+STATUS/METRICS reads this cache's store.
 
 Like the in-memory caches, the store is provider-side service
 infrastructure outside the enclave TCB — it uses :mod:`hashlib` and the
@@ -49,12 +50,9 @@ from pathlib import Path
 
 from ..core.report import ComplianceReport
 from ..errors import StoreError
-from .cache import InspectionCache, ProvisioningVerdictCache
+from .cache import InspectionCache
 
-__all__ = [
-    "VerdictStore", "TieredCache", "TieredProvisioningVerdictCache",
-    "ZERO_STORE",
-]
+__all__ = ["VerdictStore", "TieredCache", "ZERO_STORE"]
 
 #: blob header: magic, format version, key length, payload length
 _BLOB_HEADER = struct.Struct(">4sBHI")
@@ -384,8 +382,7 @@ class TieredCache(InspectionCache):
       degraded to a miss — the inspection re-runs, it is never served
       a wrong verdict.
     * :meth:`put` — memory plus write-through to the store, so a
-      restarted process (or a rebalanced shard sharing the directory)
-      is warm from its first request.
+      restarted process is warm from its first request.
     """
 
     def __init__(self, store: VerdictStore, capacity: int = 1024) -> None:
@@ -427,8 +424,3 @@ class TieredCache(InspectionCache):
     def tier_stats(self) -> dict:
         """Both tiers' counters in one JSON-ready dict."""
         return {"memory": self.stats().as_dict(), "store": self.store.stats()}
-
-
-class TieredProvisioningVerdictCache(TieredCache, ProvisioningVerdictCache):
-    """Tiered variant of :class:`ProvisioningVerdictCache` — same
-    geometry-binding key, same storage semantics, durable tier below."""

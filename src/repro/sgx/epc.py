@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..crypto.mac import HmacKey
+from ..crypto.mac import HmacKey, constant_time_eq
 from ..errors import EpcExhaustedError, SgxError
 from ..faults.hooks import fault_hook
 from .params import PAGE_SIZE
@@ -170,7 +170,7 @@ class Epc:
             )
         self._materialize(page)
         expected = self._integrity.mac(page._ciphertext)
-        if expected != page._tag:
+        if not constant_time_eq(expected, page._tag):
             raise SgxError(
                 f"integrity check failed on EPC page {page.index} "
                 "(ciphertext was tampered with)"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..crypto.mac import HmacKey
+from ..crypto.mac import HmacKey, constant_time_eq
 from ..errors import SgxError
 from ..faults.hooks import DROP, fault_hook
 from .params import PAGE_SIZE
@@ -136,7 +136,7 @@ def unseal_page(paging_key: bytes, blob: EvictedPage) -> bytes:
             perms=blob.perms, ciphertext=blob.ciphertext, mac=b"",
         ).body()
     )
-    if expected != blob.mac:
+    if not constant_time_eq(expected, blob.mac):
         raise SgxError(
             f"ELDU MAC failure for page {blob.vaddr:#x}: evicted page was "
             "tampered with"

@@ -4,7 +4,9 @@ Graceful shutdown is a protocol promise: a ``stop(drain=True)`` with
 requests in flight must answer every one of them before the connection
 closes, refuse all new connections while draining, and leave the warm
 state — verdict cache, quarantine, enclave pool, metrics — intact for
-the next ``start()`` on the same daemon object.
+the next ``start()`` on the same daemon object.  Across daemon objects
+only a verdict store carries state: a fresh daemon over the same store
+directory answers every stored verdict without inspecting.
 """
 
 from __future__ import annotations
@@ -183,3 +185,58 @@ def test_double_start_and_double_stop_are_idempotent(all_policies):
     daemon.stop()
     daemon.stop()
     assert not daemon.accepting
+
+
+def _store_backed_pass(policies, store_dir, corpus, oracle):
+    """One daemon over *store_dir*: submit *corpus*, stop, close its
+    inspector.  Returns the verdict sources and the final store block."""
+    from repro.service import TieredCache, VerdictStore
+
+    daemon = small_daemon(
+        policies,
+        cache=TieredCache(VerdictStore(store_dir, fsync=False), 4096),
+    )
+    try:
+        client = daemon_client(daemon, policies, timeout=30.0)
+        sources: dict[str, int] = {}
+        for label, raw in corpus:
+            verdict = client.inspect(raw, label)
+            assert verdict.report is not None, (label, verdict.error)
+            assert verdict.wire == oracle[label], label
+            sources[verdict.source] = sources.get(verdict.source, 0) + 1
+        client.close()
+        store = daemon.status()["store"]
+    finally:
+        daemon.stop()
+        daemon.inspector.close()
+    return sources, store
+
+
+def test_store_warm_restart_serves_every_verdict_from_the_store(
+    libc, all_policies, tmp_path
+):
+    """The durable-verdict drill: a cold daemon publishes its verdicts,
+    then a fresh daemon over the same directory answers the whole
+    52-variant corpus from the store, every wire byte-identical to the
+    serial ``EnGarde`` oracle."""
+    corpus = generate_variant_corpus(52, libc=libc)
+    engarde = EnGarde(all_policies)
+    oracle = {
+        label: engarde.inspect(raw, benchmark=label).report.serialize()
+        for label, raw in corpus
+    }
+    store_dir = tmp_path / "store"
+
+    cold, cold_store = _store_backed_pass(
+        all_policies, store_dir, corpus, oracle
+    )
+    assert cold.get("inspected", 0) > 0, "a cold daemon must inspect"
+    assert cold_store["blobs"] > 0, "cold verdicts must be published"
+
+    # the restart: new daemon, new pool, empty memory tier; the only
+    # state carried over is the store directory
+    warm, warm_store = _store_backed_pass(
+        all_policies, store_dir, corpus, oracle
+    )
+    assert warm == {"cache": len(corpus)}, warm
+    assert warm_store["recovered"] == cold_store["blobs"]

@@ -488,34 +488,26 @@ class TestStreamedSubmit:
         _await_cleanup(daemon)
 
 
-class TestFleetSchemaPins:
-    """A fleetless daemon must still carry the fleet schema, zeroed.
+class TestStoreSchemaPins:
+    """Every daemon carries the ``store`` schema, zeroed when storeless.
 
     The ``ZERO_RESILIENCE`` pattern: STATUS/METRICS consumers never
-    branch on key presence — a daemon outside any fleet reports exactly
-    ``ZERO_SHARD`` / ``ZERO_STORE``, and a fleeted daemon reports the
-    same key sets with live values.
+    branch on key presence — a daemon without a verdict store reports
+    exactly ``ZERO_STORE``, and a daemon whose cache is a
+    ``TieredCache`` reports the same key set with live values.
     """
 
-    def test_fleetless_status_carries_zeroed_fleet_schema(self, daemon):
-        from repro.service.daemon import ZERO_SHARD
+    def test_storeless_daemon_reports_zero_store(self, daemon):
         from repro.service.store import ZERO_STORE
 
-        doc = daemon.status()
-        assert doc["shard"] == ZERO_SHARD
-        assert doc["store"] == ZERO_STORE
-        metrics = daemon.metrics_snapshot()
-        assert metrics["shard"] == ZERO_SHARD
-        assert metrics["store"] == ZERO_STORE
+        for doc in (daemon.status(), daemon.metrics_snapshot()):
+            assert doc["store"] == ZERO_STORE
+            assert "shard" not in doc
+            assert "verdict_cache" not in doc
 
-    def test_zero_shard_schema_is_pinned(self):
-        from repro.service.daemon import ZERO_SHARD
+    def test_zero_store_schema_is_pinned(self):
         from repro.service.store import ZERO_STORE
 
-        assert ZERO_SHARD == {
-            "fleeted": False, "shard_id": "", "shard_index": 0,
-            "fleet_size": 0,
-        }
         assert set(ZERO_STORE) == {
             "attached", "path", "blobs", "hits", "misses", "puts",
             "corrupt_discarded", "recovered", "recovery_discarded",
@@ -523,24 +515,23 @@ class TestFleetSchemaPins:
         }
         assert ZERO_STORE["attached"] is False
 
-    def test_fleeted_daemon_keeps_the_same_key_sets(
+    def test_tiered_cache_daemon_keeps_the_same_key_set(
         self, all_policies, tmp_path
     ):
-        from repro.service import FleetCoordinator, VerdictStore
-        from repro.service.daemon import ZERO_SHARD
+        from repro.service import TieredCache, VerdictStore
         from repro.service.store import ZERO_STORE
 
-        fleet = FleetCoordinator(
-            all_policies, shards=2,
-            store=VerdictStore(tmp_path / "store", fsync=False),
-            pool_size=1, rsa_bits=768, heap_pages=64, client_pages=64,
-            enclave_pages=0x2000,
+        store_dir = tmp_path / "store"
+        daemon = small_daemon(
+            all_policies,
+            cache=TieredCache(VerdictStore(store_dir, fsync=False), 16),
         )
         try:
-            doc = fleet.shards["shard-0"].daemon.status()
-            assert set(doc["shard"]) == set(ZERO_SHARD)
-            assert set(doc["store"]) == set(ZERO_STORE)
-            assert doc["shard"]["fleeted"] is True
-            assert doc["store"]["attached"] is True
+            for doc in (daemon.status(), daemon.metrics_snapshot()):
+                assert set(doc["store"]) == set(ZERO_STORE)
+                assert doc["store"]["attached"] is True
+                assert doc["store"]["path"] == str(store_dir)
+                assert "shard" not in doc
+                assert "verdict_cache" not in doc
         finally:
-            fleet.stop()
+            daemon.stop()

@@ -93,6 +93,31 @@ class TestPagingAttacks:
         with pytest.raises(SgxError, match="MAC"):
             machine.eldu(enclave, forged)
 
+    def test_tag_checks_compare_in_constant_time(
+        self, machine, enclave, monkeypatch
+    ):
+        """ELDU's MAC check and the EPC's per-read tag check both go
+        through ``constant_time_eq``, as the channel and
+        ``verify_report`` do — never a short-circuiting ``!=``."""
+        from repro.crypto.mac import constant_time_eq
+        from repro.sgx import epc, paging
+
+        calls = []
+
+        def spy(where):
+            def eq(a, b):
+                calls.append((where, len(a), len(b)))
+                return constant_time_eq(a, b)
+            return eq
+
+        monkeypatch.setattr(epc, "constant_time_eq", spy("epc"))
+        monkeypatch.setattr(paging, "constant_time_eq", spy("eldu"))
+        vaddr = BASE + PAGE_SIZE
+        machine.eldu(enclave, machine.ewb(enclave, vaddr))
+        assert enclave.read(vaddr, 17) == b"data page content"
+        assert ("eldu", 32, 32) in calls
+        assert ("epc", 32, 32) in calls
+
     def test_replay_of_stale_version_rejected(self, machine, enclave):
         """The classic paging replay: evict v1, reload, modify in-enclave
         state, evict again (v2), then try to feed back the stale v1."""
