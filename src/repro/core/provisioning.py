@@ -249,10 +249,11 @@ class CloudProvider:
         #: enclave still runs on every hit — it is a per-enclave side
         #: effect, not a memoizable result.
         self.verdict_cache = verdict_cache
-        #: per-benchmark delta index (chunk map + function-verdict memo)
-        #: used to re-inspect only changed functions when the same client
-        #: re-provisions an updated binary; a label's entry stays empty
-        #: until its second provisioning (see :meth:`_sight_label`)
+        #: per-benchmark delta index (adopted scan, function-extent digests
+        #: and function-verdict memo) used to re-inspect only changed
+        #: functions when the same client re-provisions an updated binary;
+        #: a label's entry stays empty until its second provisioning (see
+        #: :meth:`_sight_label`)
         self._delta_index: "OrderedDict[str, DeltaIndex]" = OrderedDict()
         self._delta_index_cap = 8
 
@@ -357,8 +358,10 @@ class CloudProvider:
         A first sighting only records the label, as an empty
         :class:`DeltaIndex`, so a label provisioned once leaves no decoded
         records behind.  The second sighting decodes in full and populates
-        the entry; the third and later splice from it.  The index keeps
-        the ``_delta_index_cap`` most recently sighted labels.
+        the entry; the third and later splice from it, or decode in full
+        and re-populate it when they cannot splice (a resized text, say).
+        The index keeps the ``_delta_index_cap`` most recently sighted
+        labels.
         """
         entries = self._delta_index
         index = entries.get(label)
@@ -378,7 +381,7 @@ class CloudProvider:
         the disassembler actually adopted (``disasm.scan is scan`` — the
         speculative scan survived the exact-parse cross-check).  A
         policy-rejected binary does populate it; a disasm-stage rejection
-        or a fallback run leaves the entry as it was.
+        or a run whose scan was not adopted leaves the entry as it was.
         """
         outcome = session.outcome
         if outcome is None or outcome.disassembly is None:
@@ -389,10 +392,8 @@ class CloudProvider:
         index = self._delta_index.get(session.benchmark)
         if index is None or scan.delta is not index.memo:
             return
-        text = disasm.image.text_sections[0]
         build_delta_index(
-            index, text.data, scan,
-            [addr for addr, _name in sorted(disasm.symtab.items())],
+            index, scan, [addr for addr, _name in disasm.symtab.items()]
         )
 
     def _replay_cached_verdict(
@@ -471,10 +472,13 @@ class CloudProvider:
         text section as its bytes land, so disassembly overlaps the
         channel drain.  When the benchmark label's delta entry is
         populated (its third provisioning on), decode-during-receive is
-        skipped entirely and the scan is spliced from the indexed one via
-        the content-defined chunk diff (:func:`delta_scan`).  On a repeat
-        sighting the scan carries the label's function-verdict memo; on a
-        first sighting it carries none.  Either way the scan is
+        skipped and the scan is spliced from the indexed one, re-decoding
+        only the function extents whose digest changed
+        (:func:`delta_scan`).  When no splice is possible (a resized or
+        undecodable update), the drained buffer is decoded in full, so
+        the entry can be re-indexed from that scan.  On a repeat sighting
+        the scan carries the label's function-verdict memo; on a first
+        sighting it carries none.  Either way the scan is
         *speculative*: the disassembler re-verifies it against the exact
         parse and falls back to its whole-buffer decode on any mismatch,
         so the verdict, wire bytes, and meter totals never depend on it.
@@ -524,7 +528,12 @@ class CloudProvider:
                 text = pipeline.text_slice()
                 if text is not None:
                     scan = delta_scan(prev, text)
-            else:
+                if scan is None:
+                    # no splice (a resized text, say): decode in full, so
+                    # the adopted scan can re-index the label
+                    pipeline = StreamingPipeline(buf)
+                    pipeline.advance(total)
+            if scan is None:
                 scan = pipeline.finish()
         if scan is not None and index is not None:
             scan.delta = index.memo

@@ -15,10 +15,10 @@ Two pieces the streamed receive path composes:
   and falls back to its whole-buffer decode on any mismatch or decode
   error.
 
-* Delta re-inspection — :func:`cdc_chunks` content-defined chunking over
-  the text, :class:`DeltaIndex` remembering the previous version's chunk
-  table and decoded tokens, :func:`delta_scan` splicing clean token runs
-  with freshly-decoded dirty function extents, and
+* Delta re-inspection — :class:`DeltaIndex` remembering the previous
+  version's adopted scan and one SHA-256 digest per function extent of
+  its text, :func:`delta_scan` re-decoding only the extents whose digest
+  changed and splicing the others from the indexed tokens, and
   :class:`FunctionVerdictMemo` caching per-function stack-protection
   verdicts keyed by the function's bytes (plus every byte the original
   check read outside them).  An updated binary re-pays decode and the
@@ -44,7 +44,6 @@ __all__ = [
     "RecordingMeter",
     "FunctionVerdictMemo",
     "DeltaIndex",
-    "cdc_chunks",
     "delta_scan",
     "build_delta_index",
 ]
@@ -85,9 +84,6 @@ class StreamScan:
     #: per-function verdict memo the provider threads into the policy
     #: context (None outside delta-capable provisioning)
     delta: "FunctionVerdictMemo | None" = None
-    #: CDC chunking of ``code`` when the producer already computed one
-    #: (lets the delta index skip re-chunking the same bytes)
-    chunks: "list[tuple[int, int, bytes]] | None" = None
 
     @classmethod
     def from_instructions(
@@ -144,7 +140,7 @@ class StreamingPipeline:
     their bytes land to locate the text segment, and feeds the stream
     decoder as text bytes arrive.
     ``decode=False`` keeps only the header tracking (the delta path
-    decodes after the fact from the chunk diff instead).
+    splices after the drain instead).
     """
 
     def __init__(self, buf: bytearray, *, decode: bool = True) -> None:
@@ -298,163 +294,6 @@ class RecordingMeter:
 
 
 # --------------------------------------------------------------------------
-# Content-defined chunking (FastCDC-style gear hash)
-# --------------------------------------------------------------------------
-
-try:  # vectorised gear hash; the scalar loop below is the exact oracle
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-_GEAR: tuple[int, ...] | None = None
-_GEAR_NP = None
-
-
-def _gear_table() -> tuple[int, ...]:
-    """256 deterministic 64-bit gear values (no process randomness)."""
-    global _GEAR
-    if _GEAR is None:
-        _GEAR = tuple(
-            int.from_bytes(
-                hashlib.sha256(b"engarde-cdc-gear-%d" % i).digest()[:8], "big"
-            )
-            for i in range(256)
-        )
-    return _GEAR
-
-
-def _cdc_chunks_scalar(
-    data: bytes, *, min_size: int, avg_bits: int, max_size: int
-) -> list[tuple[int, int, bytes]]:
-    """Reference per-byte gear walk (and fallback when numpy is absent)."""
-    gear = _gear_table()
-    mask = (1 << avg_bits) - 1
-    n = len(data)
-    chunks: list[tuple[int, int, bytes]] = []
-    start = 0
-    pos = 0
-    h = 0
-    sha = hashlib.sha256
-    while pos < n:
-        h = ((h << 1) + gear[data[pos]]) & 0xFFFFFFFFFFFFFFFF
-        pos += 1
-        size = pos - start
-        if size >= min_size and (h & mask) == 0 or size >= max_size:
-            chunks.append((start, pos, sha(data[start:pos]).digest()))
-            start = pos
-            h = 0
-    if start < n:
-        chunks.append((start, n, sha(data[start:]).digest()))
-    return chunks
-
-
-def _gear_candidates(data: bytes, avg_bits: int):
-    """Sorted boundary-candidate positions of the *never-reset* gear hash.
-
-    ``h`` shifts left once per byte, so bits older than 64 bytes fall off:
-    the hash at any position is a pure function of the trailing 64-byte
-    window.  The scalar walk resets ``h`` at each boundary, but it only
-    *tests* positions at least ``min_size`` bytes past the reset — with
-    ``min_size >= 64`` the reset has fully shifted out by then, so the
-    reset and never-reset hashes agree at every tested position and the
-    candidate set can be precomputed in one vector pass (log-doubling the
-    window: 6 shifted adds instead of a per-byte Python loop).
-    """
-    global _GEAR_NP
-    if _GEAR_NP is None:
-        _GEAR_NP = _np.array(_gear_table(), dtype=_np.uint64)
-    g = _GEAR_NP[_np.frombuffer(data, dtype=_np.uint8)]
-    h = g.copy()
-    m = 1
-    while m < 64:
-        h[m:] += h[:-m].copy() * _np.uint64(1 << m)
-        m <<= 1
-    mask = _np.uint64((1 << avg_bits) - 1)
-    return _np.flatnonzero((h & mask) == 0) + 1
-
-
-def cdc_chunks(
-    data: bytes,
-    *,
-    min_size: int = 512,
-    avg_bits: int = 12,
-    max_size: int = 16384,
-) -> list[tuple[int, int, bytes]]:
-    """Gear-hash content-defined chunking: ``[(start, end, digest), ...]``.
-
-    Boundaries depend only on local content, so an edit re-synchronises
-    within one chunk and every chunk outside the edited window keeps its
-    (start, end, digest) triple — which is exactly what the delta differ
-    keys on.  The vectorised path produces bit-identical chunkings to the
-    scalar walk (a property test pins this).
-    """
-    n = len(data)
-    if _np is None or min_size < 64 or n < min_size:
-        return _cdc_chunks_scalar(
-            data, min_size=min_size, avg_bits=avg_bits, max_size=max_size
-        )
-    cand = _gear_candidates(data, avg_bits)
-    chunks: list[tuple[int, int, bytes]] = []
-    sha = hashlib.sha256
-    start = 0
-    while start < n:
-        hard = start + max_size
-        j = int(_np.searchsorted(cand, start + min_size))
-        if j < len(cand) and cand[j] <= hard:
-            end = int(cand[j])
-        else:
-            end = hard
-        if end >= n:
-            end = n
-        chunks.append((start, end, sha(data[start:end]).digest()))
-        start = end
-    return chunks
-
-
-def _dirty_ranges(
-    prev: list[tuple[int, int, bytes]],
-    cur: list[tuple[int, int, bytes]],
-) -> list[tuple[int, int]] | None:
-    """Byte ranges where two same-length chunkings disagree.
-
-    Walks both partitions in lockstep; on a mismatch, advances whichever
-    side is behind until the partitions re-synchronise at a common
-    boundary, and reports the whole window as dirty.  Returns None when
-    the partitions never re-align (callers fall back to a full decode).
-    """
-    if prev and cur and prev[-1][1] != cur[-1][1]:
-        return None
-    ranges: list[tuple[int, int]] = []
-    ia = ib = 0
-    na, nb = len(prev), len(cur)
-    while ia < na and ib < nb:
-        ca, cb = prev[ia], cur[ib]
-        if ca[0] == cb[0] and ca[1] == cb[1] and ca[2] == cb[2]:
-            ia += 1
-            ib += 1
-            continue
-        dirty_start = min(ca[0], cb[0])
-        end_a, end_b = ca[1], cb[1]
-        ia += 1
-        ib += 1
-        while end_a != end_b:
-            if end_a < end_b:
-                if ia >= na:
-                    return None
-                end_a = prev[ia][1]
-                ia += 1
-            else:
-                if ib >= nb:
-                    return None
-                end_b = cur[ib][1]
-                ib += 1
-        ranges.append((dirty_start, end_a))
-    if ia != na or ib != nb:
-        return None
-    return ranges
-
-
-# --------------------------------------------------------------------------
 # Per-function stack-protection verdict memo
 # --------------------------------------------------------------------------
 
@@ -577,116 +416,71 @@ class DeltaIndex:
     """Everything remembered from the last inspected version of a binary."""
 
     memo: FunctionVerdictMemo = field(default_factory=FunctionVerdictMemo)
-    text_len: int = -1
+    #: the indexed version's adopted scan (None until populated)
+    scan: StreamScan | None = None
     text_digest: bytes = b""
-    chunks: list[tuple[int, int, bytes]] = field(default_factory=list)
-    instructions: list[Instruction] = field(default_factory=list)
-    by_offset: dict[int, int] = field(default_factory=dict)
-    #: sorted function-start byte offsets of the indexed version
-    boundaries: list[int] = field(default_factory=list)
-    #: prescan artifacts of the indexed decode (reused verbatim when the
-    #: next version's text is byte-identical)
-    branch_idx: list[int] = field(default_factory=list)
-    term_idx: list[int] = field(default_factory=list)
-    direct_calls: list[Instruction] = field(default_factory=list)
-    indirect_idx: list[int] = field(default_factory=list)
-    bundle_violation: tuple[int, str, int] | None = None
-    n_bytes: int = 0
+    #: ``(start, end, SHA-256)`` of each function extent of ``scan.code``
+    extents: list[tuple[int, int, bytes]] = field(default_factory=list)
 
     @property
     def populated(self) -> bool:
-        return self.text_len >= 0
+        return self.scan is not None
 
 
 def build_delta_index(
-    index: DeltaIndex,
-    text: bytes,
-    scan: StreamScan,
-    symbol_offsets,
+    index: DeltaIndex, scan: StreamScan, symbol_offsets
 ) -> DeltaIndex:
-    """(Re)populate *index* from a just-inspected version's scan."""
+    """(Re)populate *index* from a just-inspected version's adopted scan.
+
+    The extents partition the scanned text at its symbol offsets: their
+    edges are 0, the text length and every symbol offset in between.
+    """
+    text = scan.code
     digest = hashlib.sha256(text).digest()
     if index.populated and index.text_digest == digest:
         return index  # identical version: everything indexed still holds
-    index.text_len = len(text)
+    n = len(text)
+    edges = [0, *sorted({o for o in symbol_offsets if 0 < o < n}), n]
+    sha = hashlib.sha256
+    index.scan = scan
     index.text_digest = digest
-    index.chunks = scan.chunks if scan.chunks is not None else cdc_chunks(text)
-    index.instructions = scan.instructions
-    index.by_offset = scan.by_offset
-    index.boundaries = sorted(set(symbol_offsets))
-    index.branch_idx = scan.branch_idx
-    index.term_idx = scan.term_idx
-    index.direct_calls = scan.direct_calls
-    index.indirect_idx = scan.indirect_idx
-    index.bundle_violation = scan.bundle_violation
-    index.n_bytes = scan.n_bytes
+    index.extents = [
+        (s, e, sha(text[s:e]).digest()) for s, e in zip(edges, edges[1:])
+    ]
     return index
 
 
 def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
     """Splice the previous version's tokens with re-decoded dirty extents.
 
+    An extent is dirty when its bytes no longer match the indexed digest.
     Returns a :class:`StreamScan` equal to what a full decode of *text*
     would produce, or None whenever that equality cannot be proven cheaply
-    (length change, chunking mis-alignment, extent boundaries that are not
-    clean instruction starts, or any regional decode error) — the caller
-    then falls back to the full phased decode.
+    (length change, a clean extent whose edges are not instruction starts
+    of the indexed decode, or a decode error in a dirty extent) — the
+    caller then decodes in full.
     """
-    if not prev.populated or len(text) != prev.text_len:
+    indexed = prev.scan
+    if indexed is None or len(text) != len(indexed.code):
         return None
     if hashlib.sha256(text).digest() == prev.text_digest:
-        # Identical bytes: the indexed decode and prescan ARE this text's
-        # decode — reuse every artifact without a rebuild pass.
-        return StreamScan(
-            code=text,
-            instructions=prev.instructions,
-            by_offset=prev.by_offset,
-            branch_idx=prev.branch_idx,
-            term_idx=prev.term_idx,
-            direct_calls=prev.direct_calls,
-            indirect_idx=prev.indirect_idx,
-            bundle_violation=prev.bundle_violation,
-            n_bytes=prev.n_bytes,
-            chunks=prev.chunks,
-        )
-    cur_chunks = cdc_chunks(text)
-    dirty = _dirty_ranges(prev.chunks, cur_chunks)
-    if dirty is None or not dirty:
-        return None
-    boundaries = prev.boundaries
-    if not boundaries or boundaries[0] < 0 or boundaries[-1] > len(text):
-        return None
-    # Extent partition of [0, len): [0, b0), [b0, b1), ..., [bk, len).
-    edges = ([0] if not boundaries or boundaries[0] != 0 else []) + boundaries
-    if not edges or edges[-1] != len(text):
-        edges = edges + [len(text)]
-    # Mark extents overlapping any dirty byte range.
-    dirty_extents: set[int] = set()
-    for d_start, d_end in dirty:
-        lo = max(bisect_right(edges, d_start) - 1, 0)
-        hi = bisect_right(edges, d_end - 1) - 1
-        dirty_extents.update(range(lo, hi + 1))
+        # Identical bytes: the indexed scan IS this text's scan.
+        return indexed
+    prev_insns = indexed.instructions
+    prev_by_offset = indexed.by_offset
+    n = len(text)
+    sha = hashlib.sha256
     spliced: list[Instruction] = []
-    prev_insns = prev.instructions
-    prev_by_offset = prev.by_offset
-    n_prev = len(prev_insns)
-    for k in range(len(edges) - 1):
-        s, e = edges[k], edges[k + 1]
-        if s == e:
-            continue
-        if k in dirty_extents:
+    for s, e, digest in prev.extents:
+        if sha(text[s:e]).digest() != digest:
             try:
                 spliced.extend(iter_decode(text, s, e))
             except DecodeError:
                 return None
-        else:
-            first = prev_by_offset.get(s)
-            if first is None:
-                return None
-            last = prev_by_offset.get(e) if e < prev.text_len else n_prev
-            if last is None:
-                return None
-            spliced.extend(prev_insns[first:last])
-    scan = StreamScan.from_instructions(text, spliced)
-    scan.chunks = cur_chunks
-    return scan
+            continue
+        first = prev_by_offset.get(s)
+        last = prev_by_offset.get(e) if e < n else len(prev_insns)
+        if first is None or last is None:
+            return None
+        spliced.extend(prev_insns[first:last])
+    return StreamScan.from_instructions(text, spliced)

@@ -1,11 +1,11 @@
-"""Streaming provisioning: pipeline, CDC/delta, and differential pins.
+"""Streaming provisioning: pipeline, delta splice, and differential pins.
 
 Four battle fronts, matching the streamed receive path's promises:
 
 * the chunk-resumable decode and the fused prescan are token-identical
   to the whole-buffer phased decode at adversarial record boundaries;
-* content-defined chunking is bit-identical between the vectorised and
-  scalar gear walks, and the dirty-range differ localises edits;
+* a delta splice equals a full decode of the edited text, field by
+  field, and re-decodes only the function extents whose bytes changed;
 * delta re-inspection **fails closed** — a moved or changed function
   never reuses a stale verdict, and a swapped binary is re-inspected;
 * a delta re-inspection gives the verdict bytes and per-phase meter
@@ -20,9 +20,15 @@ are pinned in ``tests/fixtures/provisioning_wire.json``
 from __future__ import annotations
 
 import hashlib
+import os
+import random
+import subprocess
+import sys
+from bisect import bisect_right
 
 import pytest
 
+import repro
 from repro.core import EnclaveClient, provision
 from repro.core import streaming as st
 from repro.core.provisioning import ResilienceConfig
@@ -32,18 +38,17 @@ from repro.core.streaming import (
     FunctionVerdictMemo,
     StreamingPipeline,
     StreamScan,
-    _dirty_ranges,
     _MemoSession,
     build_delta_index,
-    cdc_chunks,
     delta_scan,
 )
 from repro.crypto import HmacDrbg
 from repro.crypto.rsa import generate_keypair
 from repro.elf import read_elf
+from repro.errors import DecodeError
 from repro.faults import FakeClock, FaultPlan, FaultSpec, injected
-from repro.x86 import iter_decode
-from tests.conftest import meter_breakdown, small_provider
+from repro.x86 import decode_all, iter_decode
+from tests.conftest import compile_demo, meter_breakdown, small_provider
 
 
 def _blob(n: int, seed: bytes = b"streaming-test") -> bytes:
@@ -60,80 +65,17 @@ def _tokens(insns) -> list[tuple[int, str, bytes]]:
     return [(i.offset, i.mnemonic, bytes(i.raw)) for i in insns]
 
 
-# --------------------------------------------------------------------------
-# Content-defined chunking
-# --------------------------------------------------------------------------
-
-
-class TestCdcChunks:
-    def test_partition_invariants(self):
-        data = _blob(50_000)
-        chunks = cdc_chunks(data)
-        assert chunks[0][0] == 0 and chunks[-1][1] == len(data)
-        for (s0, e0, _), (s1, _e1, _) in zip(chunks, chunks[1:]):
-            assert e0 == s1 and s0 < e0
-        for s, e, digest in chunks:
-            assert digest == hashlib.sha256(data[s:e]).digest()
-            assert e - s <= 16384
-
-    def test_vectorised_matches_scalar_reference(self):
-        if st._np is None:
-            pytest.skip("numpy unavailable; only the scalar walk runs")
-        for seed in (b"a", b"b", b"c"):
-            for n in (0, 1, 63, 64, 511, 512, 513, 5000, 70_000):
-                data = _blob(n, seed)
-                for params in (
-                    dict(min_size=512, avg_bits=12, max_size=16384),
-                    dict(min_size=64, avg_bits=6, max_size=1024),
-                    dict(min_size=128, avg_bits=8, max_size=4096),
-                ):
-                    assert cdc_chunks(data, **params) == \
-                        st._cdc_chunks_scalar(data, **params), (seed, n, params)
-
-    def test_empty_input(self):
-        assert cdc_chunks(b"") == []
-
-    def test_input_below_min_size_is_one_chunk(self):
-        data = _blob(100)
-        assert cdc_chunks(data) == [
-            (0, 100, hashlib.sha256(data).digest())
-        ]
-
-    def test_local_edit_preserves_distant_chunks(self):
-        data = _blob(60_000)
-        edited = bytearray(data)
-        edited[30_000] ^= 0xFF
-        before = cdc_chunks(data)
-        after = cdc_chunks(bytes(edited))
-        # boundaries re-synchronise: chunk triples far from the edit agree
-        shared = set(before) & set(after)
-        assert any(e <= 20_000 for _s, e, _d in shared)
-        assert any(s >= 40_000 for s, _e, _d in shared)
-
-
-class TestDirtyRanges:
-    def _chunked(self, data: bytes):
-        return cdc_chunks(data)
-
-    def test_identical_chunkings_have_no_dirty_ranges(self):
-        chunks = self._chunked(_blob(40_000))
-        assert _dirty_ranges(chunks, list(chunks)) == []
-
-    def test_edit_is_localised_and_covered(self):
-        data = _blob(60_000)
-        edited = bytearray(data)
-        edited[33_333] ^= 0x5A
-        dirty = _dirty_ranges(self._chunked(data), self._chunked(bytes(edited)))
-        assert dirty is not None and dirty
-        assert any(s <= 33_333 < e for s, e in dirty)
-        total = sum(e - s for s, e in dirty)
-        assert total < len(data) // 2, "edit should stay localised"
-
-    def test_length_change_returns_none(self):
-        data = _blob(40_000)
-        assert _dirty_ranges(
-            self._chunked(data), self._chunked(data[:-1000])
-        ) is None
+def test_no_module_imports_numpy():
+    """No process pays for NumPy: the delta index hashes function extents
+    with hashlib, and nothing else in the package needs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import repro, repro.core, repro.service, sys; "
+         "assert 'numpy' not in sys.modules, 'numpy was imported'"],
+        env=env, check=True, timeout=60,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -362,59 +304,144 @@ class TestFunctionVerdictMemoFailClosed:
 # --------------------------------------------------------------------------
 
 
-class TestDeltaScan:
-    def _index_for(self, text: bytes, boundaries: list[int]) -> DeltaIndex:
-        scan = StreamScan.from_instructions(
-            text, list(iter_decode(text, 0, len(text)))
-        )
-        return build_delta_index(DeltaIndex(), text, scan, boundaries)
+#: every artifact a scan hands the disassembler and the policy context
+SCAN_FIELDS = (
+    "instructions", "by_offset", "branch_idx", "term_idx", "direct_calls",
+    "indirect_idx", "bundle_violation", "n_bytes", "code",
+)
 
+
+def _demo_text(elf: bytes) -> tuple[bytes, list[int]]:
+    """The demo's text bytes and its function-start offsets."""
+    img = read_elf(elf)
+    text = img.text_sections[0]
+    bounds = sorted(s.value - text.vaddr for s in img.function_symbols())
+    return text.data, bounds
+
+
+def _index_for(text: bytes, boundaries: list[int]) -> DeltaIndex:
+    scan = StreamScan.from_instructions(text, decode_all(text))
+    return build_delta_index(DeltaIndex(), scan, boundaries)
+
+
+def _first_mov_imm32(text: bytes):
+    for insn in iter_decode(text, 0, len(text)):
+        if (insn.mnemonic == "mov" and insn.target is None
+                and insn.num_immediate_bytes >= 4):
+            return insn
+    raise AssertionError("demo program must contain a mov imm32")
+
+
+def _seeded_edit(text: bytes, insns, rng: random.Random) -> bytes:
+    """1-3 edits of *text*: an instruction overwritten by as many nops
+    (moving instruction boundaries), one XORed byte, or ``0xb8``
+    (``mov $imm32, %eax``, 5 bytes) planted at an instruction start, which
+    can run past the end of its function."""
+    out = bytearray(text)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        insn = insns[rng.randrange(len(insns))]
+        if kind == 0:
+            out[insn.offset:insn.offset + insn.length] = b"\x90" * insn.length
+        elif kind == 1:
+            out[rng.randrange(len(out))] ^= rng.randint(1, 255)
+        else:
+            out[insn.offset] = 0xB8
+    return bytes(out)
+
+
+class TestDeltaScan:
     def test_identity_reuses_indexed_artifacts(self, demo_instrumented):
-        img = read_elf(demo_instrumented.elf)
-        text = img.text_sections[0]
-        bounds = sorted(
-            s.value - text.vaddr for s in img.function_symbols()
-        )
-        index = self._index_for(text.data, bounds)
-        scan = delta_scan(index, text.data)
-        assert scan is not None
-        assert scan.instructions is index.instructions
-        assert scan.chunks is index.chunks
+        text, bounds = _demo_text(demo_instrumented.elf)
+        index = _index_for(text, bounds)
+        assert delta_scan(index, text) is index.scan
 
     def test_one_byte_flip_splices_to_full_decode(self, demo_instrumented):
-        img = read_elf(demo_instrumented.elf)
-        text = img.text_sections[0]
-        bounds = sorted(
-            s.value - text.vaddr for s in img.function_symbols()
-        )
-        index = self._index_for(text.data, bounds)
+        text, bounds = _demo_text(demo_instrumented.elf)
+        index = _index_for(text, bounds)
         # flip a displacement/immediate byte so the edit keeps decoding:
         # find a mov with a >= 4-byte immediate and perturb its last byte
-        target = None
-        for insn in iter_decode(text.data, 0, len(text.data)):
-            if (insn.mnemonic == "mov" and insn.target is None
-                    and insn.num_immediate_bytes >= 4):
-                target = insn
-                break
-        assert target is not None, "demo program must contain a mov imm32"
-        mutated = bytearray(text.data)
+        target = _first_mov_imm32(text)
+        mutated = bytearray(text)
         mutated[target.offset + target.length - 1] ^= 0x5A
         mutated = bytes(mutated)
         scan = delta_scan(index, mutated)
-        if scan is None:
-            pytest.skip("chunking did not re-align on this text; fallback path")
+        assert scan is not None
         assert _tokens(scan.instructions) == _tokens(
             iter_decode(mutated, 0, len(mutated))
         )
 
+    def test_one_function_edit_redecodes_only_its_extent(
+        self, monkeypatch, demo_instrumented
+    ):
+        text, bounds = _demo_text(demo_instrumented.elf)
+        index = _index_for(text, bounds)
+        target = _first_mov_imm32(text)
+        mutated = bytearray(text)
+        mutated[target.offset + target.length - 1] ^= 0x5A
+        decoded = []
+
+        def spy(code, start=0, end=None):
+            decoded.append((start, end))
+            return iter_decode(code, start, end)
+
+        monkeypatch.setattr(st, "iter_decode", spy)
+        assert delta_scan(index, bytes(mutated)) is not None
+        edges = sorted({0, *bounds, len(text)})
+        k = bisect_right(edges, target.offset) - 1
+        assert decoded == [(edges[k], edges[k + 1])]
+
+    def test_splice_matches_full_decode_under_seeded_edits(
+        self, demo_instrumented
+    ):
+        """Oracle: whenever ``delta_scan`` returns a scan, every artifact
+        equals a full decode's, and it never returns one for a text whose
+        full decode raises."""
+        text, bounds = _demo_text(demo_instrumented.elf)
+        index = _index_for(text, bounds)
+        insns = index.scan.instructions
+        rng = random.Random(20261019)
+        spliced = fell_back = 0
+        for trial in range(300):
+            edited = _seeded_edit(text, insns, rng)
+            scan = delta_scan(index, edited)
+            try:
+                full = decode_all(edited)
+            except DecodeError:
+                assert scan is None, trial
+                fell_back += 1
+                continue
+            if scan is None:
+                fell_back += 1
+                continue
+            spliced += 1
+            oracle = StreamScan.from_instructions(edited, full)
+            for name in SCAN_FIELDS:
+                assert getattr(scan, name) == getattr(oracle, name), (
+                    trial, name)
+        # both outcomes are exercised, not just one of them
+        assert spliced >= 50 and fell_back >= 50, (spliced, fell_back)
+
+    def test_extent_edge_inside_an_instruction_falls_back(
+        self, demo_instrumented
+    ):
+        """A clean extent whose edge is not an instruction start of the
+        indexed decode cannot be spliced from it."""
+        text, bounds = _demo_text(demo_instrumented.elf)
+        target = _first_mov_imm32(text)
+        later = max(bounds)
+        assert target.offset < later
+        mid = next(insn.offset + 1 for insn in decode_all(text)
+                   if insn.offset >= later and insn.length > 1)
+        index = _index_for(text, [*bounds, mid])
+        mutated = bytearray(text)
+        mutated[target.offset + target.length - 1] ^= 0x5A
+        assert delta_scan(index, bytes(mutated)) is None
+
     def test_length_change_falls_back(self, demo_instrumented):
-        img = read_elf(demo_instrumented.elf)
-        text = img.text_sections[0]
-        bounds = sorted(
-            s.value - text.vaddr for s in img.function_symbols()
-        )
-        index = self._index_for(text.data, bounds)
-        assert delta_scan(index, text.data[:-16]) is None
+        text, bounds = _demo_text(demo_instrumented.elf)
+        index = _index_for(text, bounds)
+        assert delta_scan(index, text[:-16]) is None
 
     def test_unpopulated_index_falls_back(self):
         assert delta_scan(DeltaIndex(), b"\x90" * 64) is None
@@ -431,7 +458,8 @@ class TestDeltaProvisioning:
     The first provisioning of a label only records it, as an empty entry,
     and its scan carries no function-verdict memo; the second decodes in
     full with the memo recording and populates the entry; the third and
-    later splice their scan from it.  Every op that reaches the content
+    later splice their scan from it, or decode in full and re-populate
+    it when their text was resized.  Every op that reaches the content
     receive keeps the index within its cap.
     """
 
@@ -491,7 +519,7 @@ class TestDeltaProvisioning:
         scan = result.outcome.disassembly.scan
         assert scan is not None and scan.delta is None
         entry = provider._delta_index[self.LABEL]
-        assert not entry.populated and entry.instructions == []
+        assert entry.scan is None and entry.extents == []
 
     def test_second_sighting_decodes_in_full_and_populates_the_index(
         self, monkeypatch, all_policies, demo_instrumented, keypair
@@ -507,7 +535,7 @@ class TestDeltaProvisioning:
         scan = second.outcome.disassembly.scan
         entry = provider._delta_index[self.LABEL]
         assert entry.populated
-        assert entry.instructions is scan.instructions
+        assert entry.scan is scan
         # the memo rode the full decode and recorded its verdicts
         assert scan.delta is entry.memo and entry.memo._entries
 
@@ -527,9 +555,50 @@ class TestDeltaProvisioning:
         assert len(spliced) == 1 and spliced[0] is not None
         assert third.outcome.disassembly.scan is spliced[0]
         entry = provider._delta_index[self.LABEL]
-        # identical text: the spliced scan is the indexed decode itself
-        assert spliced[0].instructions is entry.instructions
+        # identical text: the spliced scan is the indexed scan itself
+        assert spliced[0] is entry.scan
         assert spliced[0].delta is entry.memo
+
+    def test_resized_update_is_decoded_in_full_and_reindexed(
+        self, monkeypatch, libc, all_policies, demo_instrumented, keypair
+    ):
+        """Regression: once a label's entry was populated, an update whose
+        text length differed got no scan at all (the receive had not
+        decoded and the splice gave up), and the entry kept the old
+        version for good, so later ops could not splice either."""
+        demo2 = compile_demo(libc, stack_protector=True, ifcc=True,
+                             name="demo2")
+        spliced = self._spy_on_delta_scan(monkeypatch)
+        provider = small_provider(all_policies, channel_keypair=keypair)
+        for _ in range(2):
+            assert provision(provider, EnclaveClient(
+                demo_instrumented.elf, policies=all_policies,
+            )).accepted
+        entry = provider._delta_index[self.LABEL]
+        assert len(entry.scan.code) == 8448
+        provider.machine.meter.reset()  # count the first demo2's charges
+        results = []
+        for _ in range(4):
+            result = provision(provider, EnclaveClient(
+                demo2.elf, policies=all_policies,
+            ))
+            if not results:
+                first_charges = meter_breakdown(result.meter)
+            assert result.accepted
+            scan = result.outcome.disassembly.scan
+            assert scan is not None and scan.delta is entry.memo
+            assert entry.scan is scan and len(entry.scan.code) == 8384
+            results.append(result)
+        assert spliced[0] is None
+        assert [s is r.outcome.disassembly.scan
+                for s, r in zip(spliced[1:], results[1:])] == [True] * 3
+
+        cold = provision(
+            small_provider(all_policies, channel_keypair=keypair),
+            EnclaveClient(demo2.elf, policies=all_policies),
+        )
+        assert results[0].report.serialize() == cold.report.serialize()
+        assert first_charges == meter_breakdown(cold.meter)
 
     def test_one_shot_labels_leave_no_decoded_records(
         self, all_policies, demo_instrumented, keypair
@@ -546,7 +615,7 @@ class TestDeltaProvisioning:
         entries = provider._delta_index
         assert len(entries) == cap
         assert [label for label, entry in entries.items()
-                if entry.populated or entry.instructions] == []
+                if entry.populated or entry.extents] == []
 
     def test_disasm_rejections_stay_within_the_cap(
         self, all_policies, demo_instrumented, keypair
