@@ -18,10 +18,12 @@ Two pieces the streamed receive path composes:
 * Delta re-inspection — :class:`DeltaIndex` remembering the previous
   version's adopted scan and one SHA-256 digest per function extent of
   its text, :func:`delta_scan` re-decoding only the extents whose digest
-  changed and splicing the others from the indexed tokens, and
-  :class:`FunctionVerdictMemo` caching per-function stack-protection
-  verdicts keyed by the function's bytes (plus every byte the original
-  check read outside them).  An updated binary re-pays decode and the
+  changed and splicing the others from the indexed tokens (when every
+  dirty extent keeps its instruction count, the prescan artifacts are
+  patched from the indexed ones too; otherwise the prescan runs again
+  over the splice), and :class:`FunctionVerdictMemo` caching
+  per-function stack-protection verdicts keyed by the function's bytes
+  (plus every byte the original check read outside them).  An updated binary re-pays decode and the
   super-linear policy scan only for the functions that changed, while the
   wire transcript, MRENCLAVE, verdict bytes, and meter totals stay exactly
   those of a cold run.
@@ -31,8 +33,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..elf.constants import ELF_MAGIC, PF_X, PT_LOAD
 from ..errors import DecodeError
@@ -459,6 +462,15 @@ def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
     (length change, a clean extent whose edges are not instruction starts
     of the indexed decode, or a decode error in a dirty extent) — the
     caller then decodes in full.
+
+    The prescan artifacts are patched, not rebuilt, when every dirty
+    extent re-decodes to as many tokens as it held in the indexed scan
+    (both its edges instruction starts there) and the indexed
+    ``bundle_violation`` lies outside the dirty extents: every token then
+    keeps its index, so copies of the indexed artifacts change only
+    inside the dirty ranges (:func:`_patched`).  Otherwise the prescan
+    runs again over the whole splice.  The indexed scan is never
+    mutated: it stays the entry's scan when this one is not adopted.
     """
     indexed = prev.scan
     if indexed is None or len(text) != len(indexed.code):
@@ -471,16 +483,93 @@ def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
     n = len(text)
     sha = hashlib.sha256
     spliced: list[Instruction] = []
+    # (start, end, first, last) of each dirty extent, its tokens at
+    # indices [first, last) of both scans; None once one changes count
+    dirty: list[tuple[int, int, int, int]] | None = []
     for s, e, digest in prev.extents:
+        first = prev_by_offset.get(s)
+        last = prev_by_offset.get(e) if e < n else len(prev_insns)
         if sha(text[s:e]).digest() != digest:
+            at = len(spliced)
             try:
                 spliced.extend(iter_decode(text, s, e))
             except DecodeError:
                 return None
+            if dirty is not None:
+                if first == at and last == len(spliced):
+                    dirty.append((s, e, first, last))
+                else:
+                    dirty = None
             continue
-        first = prev_by_offset.get(s)
-        last = prev_by_offset.get(e) if e < n else len(prev_insns)
         if first is None or last is None:
             return None
         spliced.extend(prev_insns[first:last])
-    return StreamScan.from_instructions(text, spliced)
+    violation = indexed.bundle_violation
+    if dirty is None or (violation is not None and any(
+        s <= violation[0] < e for s, e, _, _ in dirty
+    )):
+        return StreamScan.from_instructions(text, spliced)
+    return _patched(indexed, text, spliced, dirty)
+
+
+def _patched(
+    indexed: StreamScan,
+    text: bytes,
+    spliced: list[Instruction],
+    dirty: list[tuple[int, int, int, int]],
+) -> StreamScan:
+    """*indexed*'s prescan artifacts with each dirty extent's replaced.
+
+    Every token of *spliced* sits at its indexed index, so an artifact
+    changes only inside the dirty ``[first, last)`` index ranges (the
+    ``[start, end)`` offset ranges for ``direct_calls``); the bundle
+    violation is the earlier of the indexed one, which lies in a clean
+    extent, and the first in a dirty extent.  ``n_bytes`` is the text
+    length on both sides.
+    """
+    fresh = StreamScan(text, [], {}, [], [], [], [], None, 0)  # dirty only
+    by_offset = dict(indexed.by_offset)
+    prev_insns = indexed.instructions
+    for _s, _e, first, last in dirty:
+        for insn in prev_insns[first:last]:
+            del by_offset[insn.offset]
+        fresh._prescan(spliced[first:last], first)
+    by_offset.update(fresh.by_offset)
+    violation = indexed.bundle_violation
+    if fresh.bundle_violation is not None and (
+        violation is None or fresh.bundle_violation[0] < violation[0]
+    ):
+        violation = fresh.bundle_violation
+    index_ranges = [(first, last) for _s, _e, first, last in dirty]
+    return StreamScan(
+        code=text,
+        instructions=spliced,
+        by_offset=by_offset,
+        branch_idx=_merge(indexed.branch_idx, fresh.branch_idx, index_ranges),
+        term_idx=_merge(indexed.term_idx, fresh.term_idx, index_ranges),
+        direct_calls=_merge(
+            indexed.direct_calls, fresh.direct_calls,
+            [(s, e) for s, e, _, _ in dirty], key=attrgetter("offset"),
+        ),
+        indirect_idx=_merge(
+            indexed.indirect_idx, fresh.indirect_idx, index_ranges
+        ),
+        bundle_violation=violation,
+        n_bytes=indexed.n_bytes,
+    )
+
+
+def _merge(old: list, new: list, ranges, key=None) -> list:
+    """*old* with its items in each of the sorted, disjoint ``[lo, hi)``
+    *ranges* replaced by those of the sorted *new*, all inside them."""
+    out: list = []
+    pos = npos = 0
+    for lo, hi in ranges:
+        i = bisect_left(old, lo, pos, key=key)
+        nj = bisect_left(new, hi, npos, key=key)
+        out += old[pos:i]
+        out += new[npos:nj]
+        pos = bisect_left(old, hi, i, key=key)
+        npos = nj
+    out += old[pos:]
+    return out

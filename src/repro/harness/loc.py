@@ -18,8 +18,8 @@ _SRC = Path(__file__).resolve().parent.parent
 #: paper component -> (paper LoC, our module paths relative to repro/)
 COMPONENTS: dict[str, tuple[int, list[str]]] = {
     "Code Provisioning": (270, [
-        "core/provisioning.py", "core/disasm.py", "core/engarde.py",
-        "core/report.py",
+        "core/provisioning.py", "core/streaming.py", "core/disasm.py",
+        "core/engarde.py", "core/report.py",
     ]),
     "Loading and Relocating": (188, ["core/loader.py"]),
     "Checking Executables linked against musl-libc": (1_949, [

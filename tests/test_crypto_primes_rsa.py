@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,15 @@ from repro.crypto import (
     generate_prime,
     is_probable_prime,
 )
-from repro.crypto.primes import SMALL_PRIMES, _dlp_rounds
+from repro.crypto import primes
+from repro.crypto.primes import (
+    _SCREEN,
+    SMALL_PRIMES,
+    _dlp_rounds,
+    _passes_round,
+    _screen_rejects,
+    _sieve,
+)
 from repro.crypto.ref import ref_generate_prime
 from repro.errors import CryptoError
 
@@ -68,16 +78,36 @@ class TestRoundShortcut:
     but must stay draw-for-draw identical to the 40-round generator."""
 
     @pytest.mark.parametrize("bits,seeds", [
-        (8, 6), (128, 4), (256, 6), (384, 4), (512, 3), (1024, 1),
+        (8, 6), (128, 4), (256, 6), (384, 4), (512, 10), (1024, 1),
     ])
-    def test_matches_forty_round_generator(self, bits, seeds):
+    def test_matches_forty_round_generator(self, bits, seeds, monkeypatch):
+        # Count full rounds per candidate on both sides: without the
+        # screen, the generator would exponentiate min(t, ref's count).
+        rounds: Counter = Counter()
+
+        def spy(n, a):
+            rounds[n] += 1
+            return _passes_round(n, a)
+
+        monkeypatch.setattr(primes, "_passes_round", spy)
+        t = _dlp_rounds(bits)
+        skipped = 0
         for seed in range(seeds):
             label = b"shortcut-%d-%d" % (bits, seed)
             fast, ref = HmacDrbg(label), HmacDrbg(label)
             got = (generate_prime(bits, fast), generate_prime(bits, fast))
+            fast_rounds = rounds.copy()
+            rounds.clear()
             want = (ref_generate_prime(bits, ref), ref_generate_prime(bits, ref))
             assert got == want, (bits, seed)
             assert _drbg_state(fast) == _drbg_state(ref), (bits, seed)
+            assert set(fast_rounds) <= set(rounds), (bits, seed)
+            for n, full in rounds.items():
+                assert fast_rounds[n] <= min(t, full), (bits, seed)
+                skipped += min(t, full) - fast_rounds[n]
+            rounds.clear()
+        # the screen decided rounds, so the equality above is not vacuous
+        assert skipped > 0 if bits >= 128 else skipped == 0, (bits, skipped)
 
     @pytest.mark.parametrize("bits,rounds", [
         (207, 23), (256, 17), (384, 11), (512, 8), (1024, 4),
@@ -92,6 +122,76 @@ class TestRoundShortcut:
         assert _dlp_rounds(bits) == 40
         if bits >= 27:  # the bound's best valid t still misses 2**-100
             assert _log2_dlp_bound(bits, bits // 9) > -100
+
+
+class TestKeygenScreen:
+    """The screen rejects a witness mod g = gcd(n, _SCREEN) only when
+    the full Miller-Rabin round on n would reject it too."""
+
+    def test_screen_is_the_primes_between_1000_and_2_15(self):
+        inside = _sieve(1 << 15)[len(SMALL_PRIMES):]
+        assert inside[0] == 1009 and inside[-1] == 32749
+        assert math.prod(inside) == _SCREEN
+        assert 45_000 < _SCREEN.bit_length() < 46_000
+
+    def test_fermat_liars_fall_through_to_the_full_round(self):
+        # Chernick's Carmichael number: a**(n-1) == 1 (mod n) for every
+        # coprime a, and each of its three factors lies inside the screen.
+        n = 1171 * 2341 * 3511
+        assert n == 9_624_742_921
+        g = math.gcd(n, _SCREEN)
+        assert g == n
+        rng = random.Random(9624742921)
+        coprime = rejected = 0
+        for _ in range(2000):
+            a = rng.randint(2, n - 2)
+            if math.gcd(a, n) != 1:
+                assert _screen_rejects(n, g, a)
+                assert not _passes_round(n, a)
+                continue
+            coprime += 1
+            assert not _screen_rejects(n, g, a), a
+            rejected += not _passes_round(n, a)
+        # the full round still proves n composite for most of them
+        assert coprime > 1900 and coprime * 3 // 4 < rejected < coprime, (
+            coprime, rejected)
+
+    def test_screen_never_rejects_a_passing_witness(self):
+        """Seeded property over composites p*m, p inside the screen.  Two
+        fifths are rich in strong liars, so passing witnesses are common
+        enough to test against: Chernick numbers (6k+1)(12k+1)(18k+1),
+        and p(2p-1) with p = 3 (mod 4), where half the liars have
+        a**((n-1)/2) == -1 (mod n)."""
+        inside = _sieve(1 << 15)[len(SMALL_PRIMES):]
+        is_inside = set(inside).__contains__
+        chernick = [k for k in range(167, 1821)
+                    if all(map(is_inside, (6 * k + 1, 12 * k + 1, 18 * k + 1)))]
+        twice = [p for p in inside
+                 if p % 4 == 3 and is_probable_prime(2 * p - 1)]
+        rng = random.Random(20261019)
+        screened = passed = 0
+        for _ in range(300):
+            kind = rng.randrange(5)
+            if kind == 0:
+                k = rng.choice(chernick)
+                p, m = 6 * k + 1, (12 * k + 1) * (18 * k + 1)
+            elif kind == 1:
+                p = rng.choice(twice)
+                m = 2 * p - 1
+            else:
+                p = rng.choice(inside)
+                m = (rng.choice(inside), rng.getrandbits(64) | 1,
+                     rng.getrandbits(256) | 1)[kind - 2]
+            n = p * m
+            g = math.gcd(n, _SCREEN)
+            for _ in range(20):
+                a = rng.randint(2, n - 2)
+                passes = _passes_round(n, a)
+                if _screen_rejects(n, g, a):
+                    assert not passes, (p, m, a)
+                    screened += 1
+                passed += passes
+        assert screened > 3000 and passed > 300, (screened, passed)
 
 
 class TestRsa:

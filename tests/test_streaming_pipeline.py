@@ -19,6 +19,7 @@ are pinned in ``tests/fixtures/provisioning_wire.json``
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import random
@@ -47,7 +48,7 @@ from repro.crypto.rsa import generate_keypair
 from repro.elf import read_elf
 from repro.errors import DecodeError
 from repro.faults import FakeClock, FaultPlan, FaultSpec, injected
-from repro.x86 import decode_all, iter_decode
+from repro.x86 import BUNDLE_SIZE, decode_all, iter_decode
 from tests.conftest import compile_demo, meter_breakdown, small_provider
 
 
@@ -334,20 +335,64 @@ def _first_mov_imm32(text: bytes):
 
 def _seeded_edit(text: bytes, insns, rng: random.Random) -> bytes:
     """1-3 edits of *text*: an instruction overwritten by as many nops
-    (moving instruction boundaries), one XORed byte, or ``0xb8``
+    (moving instruction boundaries), one XORed byte, ``0xb8``
     (``mov $imm32, %eax``, 5 bytes) planted at an instruction start, which
-    can run past the end of its function."""
+    can run past the end of its function, or one XORed byte of an
+    instruction's immediate, which keeps every instruction boundary."""
     out = bytearray(text)
     for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(3)
+        kind = rng.randrange(4)
         insn = insns[rng.randrange(len(insns))]
         if kind == 0:
             out[insn.offset:insn.offset + insn.length] = b"\x90" * insn.length
         elif kind == 1:
             out[rng.randrange(len(out))] ^= rng.randint(1, 255)
-        else:
+        elif kind == 2:
             out[insn.offset] = 0xB8
+        else:
+            insn = rng.choice([i for i in insns if i.num_immediate_bytes])
+            imm = rng.randrange(insn.num_immediate_bytes)
+            out[insn.end - 1 - imm] ^= rng.randint(1, 255)
     return bytes(out)
+
+
+def _perfbench_edit(text: bytes) -> bytes:
+    """perfbench's provision-update edit: the first byte of one mov
+    immediate XORed with 0x5A, a one-function, boundary-keeping edit."""
+    target = _first_mov_imm32(text)
+    out = bytearray(text)
+    out[target.end - target.num_immediate_bytes] ^= 0x5A
+    return bytes(out)
+
+
+def _plant_bundle_violation(text: bytes, insns, after: int = 0):
+    """Swap the first bundle-ending nop at or after *after* with the
+    non-branch instruction C that follows it, so that C straddles the
+    bundle edge.  Returns the new text and C's new offset.  Every other
+    instruction keeps its start, so the instruction count is unchanged."""
+    for nop, c in zip(insns, insns[1:]):
+        if (nop.offset >= after and nop.raw == b"\x90"
+                and nop.end % BUNDLE_SIZE == 0 and c.length >= 2
+                and c.target is None):
+            out = bytearray(text)
+            out[nop.offset:c.end] = c.raw + b"\x90"
+            return bytes(out), nop.offset
+    raise AssertionError("demo program must contain a bundle-edge nop")
+
+
+@pytest.fixture
+def prescans(monkeypatch) -> list:
+    """The texts ``StreamScan.from_instructions`` prescans, in call order
+    (the rebuild path of ``delta_scan`` makes one call; the patch none)."""
+    calls = []
+    real = StreamScan.from_instructions.__func__
+
+    def spy(cls, code, instructions):
+        calls.append(code)
+        return real(cls, code, instructions)
+
+    monkeypatch.setattr(StreamScan, "from_instructions", classmethod(spy))
+    return calls
 
 
 class TestDeltaScan:
@@ -392,18 +437,20 @@ class TestDeltaScan:
         assert decoded == [(edges[k], edges[k + 1])]
 
     def test_splice_matches_full_decode_under_seeded_edits(
-        self, demo_instrumented
+        self, demo_instrumented, prescans
     ):
         """Oracle: whenever ``delta_scan`` returns a scan, every artifact
-        equals a full decode's, and it never returns one for a text whose
-        full decode raises."""
+        equals a full decode's, whether it patched the indexed artifacts
+        or ran the prescan again, and it never returns one for a text
+        whose full decode raises."""
         text, bounds = _demo_text(demo_instrumented.elf)
         index = _index_for(text, bounds)
         insns = index.scan.instructions
         rng = random.Random(20261019)
-        spliced = fell_back = 0
+        patched = rebuilt = fell_back = 0
         for trial in range(300):
             edited = _seeded_edit(text, insns, rng)
+            before = len(prescans)
             scan = delta_scan(index, edited)
             try:
                 full = decode_all(edited)
@@ -414,13 +461,72 @@ class TestDeltaScan:
             if scan is None:
                 fell_back += 1
                 continue
-            spliced += 1
+            if len(prescans) == before:
+                patched += 1
+            else:
+                rebuilt += 1
             oracle = StreamScan.from_instructions(edited, full)
             for name in SCAN_FIELDS:
                 assert getattr(scan, name) == getattr(oracle, name), (
                     trial, name)
-        # both outcomes are exercised, not just one of them
-        assert spliced >= 50 and fell_back >= 50, (spliced, fell_back)
+        # every outcome is exercised, not just some of them
+        assert patched >= 50 and rebuilt >= 50 and fell_back >= 50, (
+            patched, rebuilt, fell_back)
+
+    def test_perfbench_edit_patches_without_a_prescan(
+        self, demo_instrumented, prescans
+    ):
+        text, bounds = _demo_text(demo_instrumented.elf)
+        index = _index_for(text, bounds)
+        mutated = _perfbench_edit(text)
+        del prescans[:]
+        scan = delta_scan(index, mutated)
+        assert prescans == []
+        oracle = StreamScan.from_instructions(mutated, decode_all(mutated))
+        for name in SCAN_FIELDS:
+            assert getattr(scan, name) == getattr(oracle, name), name
+
+    def test_patch_leaves_the_indexed_scan_untouched(
+        self, demo_instrumented, prescans
+    ):
+        """The entry keeps its scan when the patched one is not adopted,
+        so patching works on copies."""
+        text, bounds = _demo_text(demo_instrumented.elf)
+        index = _index_for(text, bounds)
+        indexed = index.scan
+        objects = {name: getattr(indexed, name) for name in SCAN_FIELDS}
+        snapshot = {name: copy.copy(v) for name, v in objects.items()}
+        del prescans[:]
+        scan = delta_scan(index, _perfbench_edit(text))
+        assert prescans == [] and scan is not indexed
+        assert index.scan is indexed
+        for name in SCAN_FIELDS:
+            assert getattr(indexed, name) is objects[name], name
+            assert getattr(indexed, name) == snapshot[name], name
+            if isinstance(snapshot[name], (list, dict)):
+                assert getattr(scan, name) is not objects[name], name
+
+    def test_bundle_violation_in_a_dirty_extent_rebuilds(
+        self, demo_instrumented, prescans
+    ):
+        """The indexed scan records only its first bundle violation.  When
+        the update removes it, the next one may lie in a clean extent, so
+        only a full prescan can find it."""
+        text, bounds = _demo_text(demo_instrumented.elf)
+        insns = decode_all(text)
+        edges = sorted({0, *bounds, len(text)})
+        later, second = _plant_bundle_violation(text, insns, after=edges[2])
+        both, first = _plant_bundle_violation(later, insns)
+        assert bisect_right(edges, first) < bisect_right(edges, second)
+        index = _index_for(both, bounds)
+        assert index.scan.bundle_violation[0] == first
+        del prescans[:]
+        scan = delta_scan(index, later)  # the first plant undone
+        assert prescans == [later]
+        oracle = StreamScan.from_instructions(later, decode_all(later))
+        assert oracle.bundle_violation[0] == second
+        for name in SCAN_FIELDS:
+            assert getattr(scan, name) == getattr(oracle, name), name
 
     def test_extent_edge_inside_an_instruction_falls_back(
         self, demo_instrumented
