@@ -1,13 +1,13 @@
-"""Latency-SLO soak: the zero-copy executor and daemon under offered load.
+"""Latency-SLO soak: the process-pool executor and daemon under offered load.
 
 Two instruments, one artifact (``BENCH_slo.json``):
 
 * **executor cross-mode bench** — both executor modes (``serial`` and
-  the ``process`` pool over the shared-memory arena) inspect the same
-  profile corpora.  The differential check pins the verdict wire
-  byte-identical across the two modes,
+  the ``process`` pool) inspect the same profile corpora.  The
+  differential check pins the verdict wire byte-identical across the
+  two modes,
 * **daemon soak** — a warm :class:`~repro.service.InspectionDaemon`
-  (process-mode, shared-memory inspector) driven by persistent attested
+  (process-mode inspector) driven by persistent attested
   :class:`~repro.service.InspectionClient` sessions at an increasing
   open-loop offered rate.  Arrivals are *scheduled*: latency is
   ``finish - scheduled_arrival``, so queueing delay at saturation is
@@ -87,7 +87,7 @@ PROFILE_NAMES = (
 #: executor modes, in differential-oracle order (serial is the oracle)
 EXECUTOR_MODES = (
     ("serial", dict(mode="serial")),
-    ("process-shm", dict(mode="process")),
+    ("process", dict(mode="process")),
 )
 
 
@@ -206,7 +206,6 @@ def bench_executor_modes(
                         for item in corpus
                     ]
                 elapsed = time.perf_counter() - t0
-                arena = insp.arena_stats()
             prints = {
                 item.label: _item_fingerprint(item) for item in results
             }
@@ -227,10 +226,9 @@ def bench_executor_modes(
                 "megabytes": round(
                     sum(len(raw) for _, raw in corpus) * repeats / 1e6, 2
                 ),
-                "arena": arena,
             }
         speedup = (
-            per_mode["process-shm"]["items_per_second"]
+            per_mode["process"]["items_per_second"]
             / per_mode["serial"]["items_per_second"]
         )
         out["profiles"][profile] = {
@@ -575,15 +573,15 @@ def _check_bars(result: dict) -> list[str]:
 def render_table(result: dict) -> str:
     rows = [
         f"{'profile':<18} {'items':>6} {'MB':>7} {'serial/s':>9} "
-        f"{'shm/s':>9} {'speedup':>8}"
+        f"{'process/s':>9} {'speedup':>8}"
     ]
     for name, prof in result["executor"]["profiles"].items():
         serial = prof["by_mode"]["serial"]
-        shm = prof["by_mode"]["process-shm"]
+        pooled = prof["by_mode"]["process"]
         rows.append(
             f"{name:<18} {prof['corpus_items']:>6} "
             f"{prof['corpus_bytes'] / 1e6:>7.1f} "
-            f"{serial['items_per_second']:>9} {shm['items_per_second']:>9} "
+            f"{serial['items_per_second']:>9} {pooled['items_per_second']:>9} "
             f"{prof['process_vs_serial_speedup']:>7}x"
         )
     rows.append(
@@ -623,7 +621,7 @@ def test_latency_slo():
     result = run_benchmark(quick=QUICK)
     Path(DEFAULT_OUTPUT).write_text(json.dumps(result, indent=1) + "\n")
     record_table(
-        "Latency SLO soak (zero-copy executor vs serial oracle):\n"
+        "Latency SLO soak (process-pool executor vs serial oracle):\n"
         + render_table(result)
     )
     problems = _check_bars(result)

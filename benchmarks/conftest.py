@@ -40,7 +40,6 @@ def host_metadata() -> dict:
         "python_implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "repro_workers_env": os.environ.get("REPRO_WORKERS"),
     }
 
 

@@ -243,9 +243,9 @@ def _serve(args) -> int:
                 break
     finally:
         daemon.stop()
-        # the process is exiting — release the worker pool and unlink
-        # the shared-memory arena (a stopped-but-warm daemon would keep
-        # both for the next start(); see InspectionDaemon.stop)
+        # the process is exiting — release the worker pool (a
+        # stopped-but-warm daemon would keep it for the next start();
+        # see InspectionDaemon.stop)
         daemon.inspector.close()
     snap = daemon.metrics_snapshot()
     nonzero = {k: v for k, v in snap["counters"].items() if v}
@@ -306,8 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     batch_group.add_argument(
         "--workers", type=_positive_int, default=None,
-        help="pool size (default: REPRO_WORKERS env override, else cpu "
-             "count capped at 8)",
+        help="pool size (default: cpu count capped at 8)",
     )
     batch_group.add_argument(
         "--mode", default="process",
@@ -397,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=["serial", "process"],
         help="daemon inspector backend: 'serial' funnels through one "
              "warm EnGarde; 'process' fans concurrent submissions over "
-             "the zero-copy shared-memory executor",
+             "a process pool",
     )
     profile_group = parser.add_argument_group("profile options")
     profile_group.add_argument(

@@ -32,7 +32,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..crypto import HmacDrbg
-from ..elf import read_elf
 from ..crypto.channel import SecureChannel, ServerHandshake, client_handshake
 from ..crypto.rsa import RsaPrivateKey
 from ..errors import (
@@ -41,7 +40,6 @@ from ..errors import (
     NetError,
     OverrunError,
     ProtocolError,
-    RejectionError,
     ReproError,
 )
 from ..faults import hooks as _faults
@@ -220,7 +218,6 @@ class CloudProvider:
         enclave_pages: int = DEFAULT_ENCLAVE_PAGES,
         per_insn_malloc: bool = False,
         channel_keypair: RsaPrivateKey | None = None,
-        verdict_cache=None,
         streaming: bool = True,
     ) -> None:
         """*streaming* accepts only ``True``: the streamed receive is the
@@ -242,13 +239,6 @@ class CloudProvider:
         self.per_insn_malloc = per_insn_malloc
         #: pre-generated channel keypair (tests reuse one to skip keygen)
         self.channel_keypair = channel_keypair
-        #: optional provisioning verdict cache (duck-typed so the core
-        #: stays free of service imports; see
-        #: :class:`repro.service.cache.ProvisioningVerdictCache`).  The
-        #: cached object is only the *verdict*: loading into the fresh
-        #: enclave still runs on every hit — it is a per-enclave side
-        #: effect, not a memoizable result.
-        self.verdict_cache = verdict_cache
         #: per-benchmark delta index (adopted scan, function-extent digests
         #: and function-verdict memo) used to re-inspect only changed
         #: functions when the same client re-provisions an updated binary;
@@ -322,21 +312,6 @@ class CloudProvider:
             session, resilience=resilience, retransmit=retransmit
         )
         runtime = session.runtime
-        cache = self.verdict_cache
-        key = None
-        if cache is not None:
-            # Region geometry is part of the key: the same bytes loaded
-            # into a differently-shaped client region can legitimately
-            # produce a different verdict (the loader's capacity check).
-            key = cache.key_for(
-                raw, self.policies, runtime.client_base, runtime.client_pages,
-            )
-            cached = cache.get(key, benchmark=session.benchmark)
-            if cached is not None:
-                session.outcome = self._replay_cached_verdict(
-                    session, raw, cached
-                )
-                return session.outcome.report
         session.outcome = session.engarde.inspect_and_load(
             raw,
             runtime.enclave,
@@ -345,8 +320,6 @@ class CloudProvider:
             benchmark=session.benchmark,
             scan=scan,
         )
-        if key is not None:
-            cache.put(key, session.outcome.report)
         if scan is not None:
             self._update_delta_index(session, scan)
         return session.outcome.report
@@ -394,45 +367,6 @@ class CloudProvider:
             return
         build_delta_index(
             index, scan, [addr for addr, _name in disasm.symtab.items()]
-        )
-
-    def _replay_cached_verdict(
-        self,
-        session: ProvisioningSession,
-        raw: bytes,
-        cached: ComplianceReport,
-    ) -> InspectionOutcome:
-        """Act on a cache hit without re-running inspection.
-
-        A rejected verdict needs no enclave work at all.  A compliant one
-        skips decode and policy checking but still *loads* the image into
-        this session's fresh enclave — the report is rebuilt from what the
-        loader actually mapped, so a hit can never claim pages it did not
-        pin.
-        """
-        if not cached.compliant:
-            return InspectionOutcome(report=cached)
-        runtime = session.runtime
-        engarde = session.engarde
-        image = read_elf(raw)
-        try:
-            with engarde.meter.phase("loading"):
-                loaded = engarde.loader.load(
-                    image, runtime.enclave,
-                    runtime.client_base, runtime.client_pages,
-                )
-        except RejectionError as exc:
-            return InspectionOutcome(
-                report=ComplianceReport.rejected(
-                    session.benchmark, self.policies.names(), stage=exc.stage
-                )
-            )
-        return InspectionOutcome(
-            report=ComplianceReport.accepted(
-                session.benchmark, self.policies.names(),
-                loaded.executable_pages,
-            ),
-            loaded=loaded,
         )
 
     def finalize(self, session: ProvisioningSession) -> bool:

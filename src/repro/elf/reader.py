@@ -134,9 +134,8 @@ def read_elf(raw) -> ElfImage:
     """Parse and validate an ELF64 image, raising :class:`ElfError` on any
     malformation EnGarde is specified to reject.
 
-    *raw* may be ``bytes`` or a ``memoryview`` (e.g. a zero-copy view
-    into a shared-memory arena slot); section payloads are sliced from
-    it without copying either way."""
+    *raw* may be ``bytes`` or a ``memoryview``; section payloads are
+    sliced from it without copying either way."""
     raw = fault_hook("elf.reader", raw, error=ElfError)
     if raw is DROP:
         raise ElfError("[fault:elf.reader:drop] image vanished before parsing")
@@ -173,7 +172,7 @@ def read_elf(raw) -> ElfImage:
         raise ElfError("bad section-name string table index")
     shstr = shdrs[ehdr.e_shstrndx]
     # String tables are tiny; materialize them so name lookups work the
-    # same whether *raw* is bytes or a zero-copy memoryview.
+    # same whether *raw* is bytes or a memoryview.
     shstr_blob = bytes(raw[shstr.sh_offset:shstr.sh_offset + shstr.sh_size])
 
     sections: list[Section] = []

@@ -89,12 +89,6 @@ class WorkerCrashError(ServiceError):
     """An inspection worker died (or was made to die) mid-verdict."""
 
 
-class ArenaError(ServiceError):
-    """The shared-memory arena refused an operation (stale ticket,
-    tombstoned slot, torn-down segment).  Always fail-closed: a worker
-    that sees this produces an errored item, never a wrong verdict."""
-
-
 class StoreError(ServiceError):
     """The on-disk verdict store refused a blob (torn write, truncated
     file, digest or key mismatch).  Always fail-closed: a corrupt blob

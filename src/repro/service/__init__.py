@@ -33,12 +33,7 @@ from .batch import (
     Quarantine,
     default_workers,
 )
-from .cache import (
-    CacheStats,
-    InspectionCache,
-    ProvisioningVerdictCache,
-    cache_key,
-)
+from .cache import CacheStats, InspectionCache, cache_key
 from .client import (
     ClientVerdict,
     InspectionClient,
@@ -49,14 +44,12 @@ from .corpus import VARIANT_KINDS, generate_variant_corpus
 from .daemon import InspectionDaemon
 from .metrics import DaemonMetrics, LatencyHistogram
 from .pool import EnclavePool, PooledEnclave
-from .shm import ArenaTicket, SharedArena
 from .store import ZERO_STORE, TieredCache, VerdictStore
 
 __all__ = [
     "BatchInspector", "BatchItemResult", "BatchReport", "BatchSummary",
     "Quarantine", "default_workers",
-    "SharedArena", "ArenaTicket",
-    "InspectionCache", "ProvisioningVerdictCache", "CacheStats", "cache_key",
+    "InspectionCache", "CacheStats", "cache_key",
     "generate_variant_corpus", "VARIANT_KINDS",
     "InspectionDaemon", "InspectionClient", "ClientVerdict", "RemoteError",
     "device_key_from_announce",

@@ -42,11 +42,8 @@ objects: the wire form is cheap to pickle and guarantees the batch path
 can be compared byte-for-byte against the sequential baseline (the
 differential tests do exactly that).
 
-The process pool is **zero-copy**: each unique miss is published once
-into a :class:`~repro.service.shm.SharedArena` and workers attach
-memoryviews straight into the ELF reader and the resumable decoder —
-only a tiny ticket crosses the pickle boundary per task, one future per
-unique miss.
+Each unique miss is one pool task whose argument is the binary's bytes,
+pickled through the pool's feeder pipe once per attempt.
 """
 
 from __future__ import annotations
@@ -66,10 +63,9 @@ from dataclasses import dataclass, field, replace
 from ..core.engarde import EnGarde
 from ..core.policy import PolicyRegistry
 from ..core.report import ComplianceReport
-from ..errors import ArenaError, WorkerCrashError
+from ..errors import WorkerCrashError
 from ..faults.clock import Clock, SystemClock
 from ..faults.hooks import DROP, fault_hook
-from . import shm
 from .cache import CacheKey, InspectionCache, cache_key
 
 __all__ = [
@@ -81,23 +77,8 @@ MODES = ("process", "serial")
 
 
 def default_workers() -> int:
-    """Pool size when the caller does not pin one.
-
-    Honors the ``REPRO_WORKERS`` environment override (benches and CI
-    pin parallelism with it) — validated ``>= 1`` — and otherwise uses
-    the machine's CPU count capped at 8.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env is not None and env.strip():
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_WORKERS must be an integer >= 1, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(f"REPRO_WORKERS must be >= 1, got {value}")
-        return value
+    """Pool size when the caller does not pin one: the machine's CPU
+    count capped at 8."""
     return min(os.cpu_count() or 1, 8)
 
 
@@ -112,16 +93,11 @@ def _init_worker(policies: PolicyRegistry) -> None:
     _WORKER_ENGARDE = EnGarde(policies)
 
 
-def _pool_inspect(ticket: shm.ArenaTicket) -> bytes:
-    """Zero-copy worker task: only the tiny ticket crossed the pickle
-    boundary.  The memoryview feeds the ELF reader and the decoder
-    directly; the verdict returns as the compact frozen report wire."""
+def _pool_inspect(raw: bytes) -> bytes:
+    """Worker task: inspect one binary and return the compact frozen
+    report wire."""
     fault_hook("service.batch.worker", error=WorkerCrashError)
-    view = shm.attach_view(ticket)
-    try:
-        return _WORKER_ENGARDE.inspect(view, benchmark="").report.serialize()
-    finally:
-        view.release()
+    return _WORKER_ENGARDE.inspect(raw, benchmark="").report.serialize()
 
 
 # -------------------------------------------------------------- quarantine
@@ -304,8 +280,8 @@ class BatchInspector:
         capped at 8).
     mode:
         ``"process"`` (default, real parallelism for the CPU-bound
-        pipeline over the zero-copy arena) or ``"serial"`` (no pool —
-        the differential baseline).
+        pipeline) or ``"serial"`` (no pool — the differential
+        baseline).
     cache:
         An :class:`InspectionCache` to share across inspectors, ``None``
         to create a private one, or ``False`` to disable caching.
@@ -379,13 +355,9 @@ class BatchInspector:
             self.cache = cache
         self._executor: ProcessPoolExecutor | None = None
         self._serial_engarde: EnGarde | None = None
-        self._arena: shm.SharedArena | None = None
-        #: tickets whose workers may still be reading (timed-out futures);
-        #: released only once the pool has shut down
-        self._zombie_tickets: list[shm.ArenaTicket] = []
-        #: guards executor/arena lifecycle — inspect_batch may be called
+        #: guards the executor's lifecycle — inspect_batch may be called
         #: from many daemon threads at once in process mode
-        self._lifecycle = threading.RLock()
+        self._lifecycle = threading.Lock()
         #: set when a broken pool forced a fallback to serial execution
         self._degraded = False
         self._retry_attempts = 0
@@ -407,37 +379,14 @@ class BatchInspector:
                 )
             return self._executor
 
-    def _ensure_arena(self) -> shm.SharedArena:
-        with self._lifecycle:
-            if self._arena is None or self._arena.closed:
-                self._arena = shm.SharedArena()
-            return self._arena
-
-    def arena_stats(self) -> dict | None:
-        """Lifetime arena counters, or ``None`` before first zero-copy use."""
-        with self._lifecycle:
-            return self._arena.stats() if self._arena is not None else None
-
-    def _teardown_arena(self) -> None:
-        """Release straggler tickets and unlink the arena (fail-closed:
-        any worker still attached sees tombstoned headers, never reuse)."""
-        with self._lifecycle:
-            self._zombie_tickets.clear()
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
-
     def close(self) -> None:
-        """Shut the pool and the arena down (idempotent; the cache
-        survives).  Safe with futures still in flight: the pool drains
-        first (``cancel_futures`` drops queued work, running work
-        finishes), and only then is the shared memory unlinked — so no
-        live worker ever reads a recycled slot."""
+        """Shut the pool down (idempotent; the cache survives).  Safe
+        with futures still in flight: ``cancel_futures`` drops queued
+        work and running work finishes before this returns."""
         with self._lifecycle:
             if self._executor is not None:
                 self._executor.shutdown(wait=True, cancel_futures=True)
                 self._executor = None
-            self._teardown_arena()
 
     def __enter__(self) -> "BatchInspector":
         return self
@@ -461,7 +410,7 @@ class BatchInspector:
             else:
                 label, raw = entry
                 # Snapshot mutable buffers once, up front: cache keys,
-                # dedup grouping, and shm slot contents must never alias
+                # dedup grouping, and task arguments must never alias
                 # a buffer the caller mutates mid-batch.  (bytes(raw) on
                 # an immutable bytes object is a no-copy identity.)
                 if isinstance(raw, (bytearray, memoryview)):
@@ -659,77 +608,38 @@ class BatchInspector:
     def _run_pooled(self, items, misses):
         """Fan unique misses out over the pool; collect with per-binary
         timeout, retry-with-backoff, and exception isolation.  A broken
-        pool (or a refused arena) degrades the remaining misses — and
-        all future batches — to serial execution instead of failing the
-        batch.
-
-        Each unique miss is published into the arena exactly once;
-        retries resubmit the same ticket.  A ticket is released as soon as its verdict is
-        final — except after a pool *timeout*, where the worker may
-        still be reading the slot: those tickets park on the zombie
-        list and are only freed once the pool has shut down, so a slot
-        is never rewritten under a live reader.
+        pool degrades the remaining misses — and all future batches — to
+        serial execution instead of failing the batch.
         """
         verdicts: dict[CacheKey, tuple[bytes | None, str | None]] = {}
         pending = dict(misses)
         starts: dict[CacheKey, float] = {}
         tries = {key: 0 for key in misses}
-        tickets: dict[CacheKey, shm.ArenaTicket] = {}
-
-        def settle(key, *, zombie: bool = False) -> None:
-            ticket = tickets.pop(key, None)
-            if ticket is None:
-                return
-            if zombie:
-                with self._lifecycle:
-                    self._zombie_tickets.append(ticket)
-            else:
-                arena = self._arena
-                if arena is not None:
-                    arena.release(ticket)
-
-        def abandon():
-            """Fail closed: drop every ticket (in-flight pooled results
-            are never consumed past this point) and go serial."""
-            for key in list(tickets):
-                settle(key, zombie=True)
-            remaining = {k: v for k, v in pending.items() if k not in verdicts}
-            return self._degrade(items, remaining, verdicts)
-
         while pending:
             futures: dict[CacheKey, Future] = {}
             for key, indices in pending.items():
                 starts.setdefault(key, self.clock.time())
-                raw = items[indices[0]][1]
                 try:
-                    ticket = tickets.get(key)
-                    if ticket is None:
-                        ticket = self._ensure_arena().publish(raw)
-                        tickets[key] = ticket
                     futures[key] = self._ensure_executor().submit(
-                        _pool_inspect, ticket
+                        _pool_inspect, items[indices[0]][1]
                     )
-                except (BrokenExecutor, ArenaError):
-                    return abandon()
+                except BrokenExecutor:
+                    return self._degrade(items, pending, verdicts)
             retry_next: dict[CacheKey, list[int]] = {}
             for key, future in futures.items():
                 try:
                     verdicts[key] = (future.result(timeout=self.timeout), None)
-                    settle(key)
                     continue
                 except FutureTimeoutError:
                     future.cancel()
                     # Final: the worker slot is still occupied; retrying
-                    # would stack hung work behind a hung worker.  The
-                    # hung worker may also still be *reading* the shm
-                    # slot — park the ticket until the pool is gone.
+                    # would stack hung work behind a hung worker.
                     verdicts[key] = (
                         None, f"inspection exceeded {self.timeout}s timeout",
                     )
-                    settle(key, zombie=True)
                     continue
                 except BrokenExecutor:
-                    return abandon()
+                    return self._degrade(items, pending, verdicts)
                 except Exception as exc:  # noqa: BLE001 — isolation boundary
                     error = f"{type(exc).__name__}: {exc}"
                 tries[key] += 1
@@ -743,10 +653,8 @@ class BatchInspector:
                         f"{self.deadline}s exceeded after {tries[key]} "
                         f"attempt(s); last failure: {error}"
                     ))
-                    settle(key)
                 elif tries[key] > self.retries:
                     verdicts[key] = (None, error)
-                    settle(key)
                 else:
                     with self._stats_lock:
                         self._retry_attempts += 1
@@ -755,24 +663,19 @@ class BatchInspector:
                 attempt = min(tries[k] for k in retry_next)
                 self.clock.sleep(self.backoff_base * (2 ** (attempt - 1)))
             pending = retry_next
-        for key in list(tickets):  # defensive: nothing should remain
-            settle(key)
         return verdicts
 
-    def _degrade(self, items, remaining, verdicts):
+    def _degrade(self, items, pending, verdicts):
         """Broken pool: finish the batch serially, stay serial afterwards.
 
-        Fail-closed teardown order: the pool is shut down first (no new
-        slot reads can start), then the arena is tombstoned and
-        unlinked.  Teardown never rewrites payload bytes, so a worker
-        caught mid-read completes with consistent content — and its
-        result is discarded anyway, because every remaining miss is
-        re-run serially right here."""
+        Fail closed: the pool is shut down without waiting, no pooled
+        result is consumed past this point, and every pending miss
+        without a verdict is re-run serially right here."""
         with self._lifecycle:
             self._degraded = True
             if self._executor is not None:
                 self._executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = None
-            self._teardown_arena()
+        remaining = {k: v for k, v in pending.items() if k not in verdicts}
         verdicts.update(self._run_serial(items, remaining))
         return verdicts

@@ -33,9 +33,7 @@ from dataclasses import dataclass, replace
 from ..core.policy import PolicyRegistry
 from ..core.report import ComplianceReport
 
-__all__ = [
-    "CacheStats", "InspectionCache", "ProvisioningVerdictCache", "cache_key",
-]
+__all__ = ["CacheStats", "InspectionCache", "cache_key"]
 
 #: (content digest, policy-set digest) — both hex strings
 CacheKey = tuple[str, str]
@@ -91,9 +89,6 @@ class InspectionCache:
 
     # ------------------------------------------------------------------
 
-    def key_for(self, raw_elf: bytes, policies: PolicyRegistry) -> CacheKey:
-        return cache_key(raw_elf, policies)
-
     def get(self, key: CacheKey, *, benchmark: str = "") -> ComplianceReport | None:
         """The cached report re-labelled for this request, or ``None``."""
         with self._lock:
@@ -143,26 +138,3 @@ class InspectionCache:
         with self._lock:
             return key in self._entries
 
-
-class ProvisioningVerdictCache(InspectionCache):
-    """Verdict cache for the full provisioning path.
-
-    Same storage and label-stripping semantics as
-    :class:`InspectionCache`, but the key additionally binds the *client
-    region geometry*: a verdict produced for one ``(base, pages)`` region
-    must not be served for another — the loader's capacity check can flip
-    the verdict for the same bytes under a smaller region.  Pass an
-    instance as ``CloudProvider(verdict_cache=...)``; the provider treats
-    it duck-typed, so the core package never imports the service layer.
-    """
-
-    def key_for(  # type: ignore[override]
-        self,
-        raw_elf: bytes,
-        policies: PolicyRegistry,
-        region_base: int,
-        region_pages: int,
-    ) -> tuple[str, ...]:
-        return cache_key(raw_elf, policies) + (
-            f"{region_base:#x}", str(region_pages),
-        )

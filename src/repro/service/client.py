@@ -282,14 +282,16 @@ class InspectionClient:
     ) -> ClientVerdict:
         """Submit one binary as a ``SUBMIT_BEGIN``/``SUBMIT_CHUNK`` stream.
 
-        Large content travels as *chunk_size*-byte channel records, each
-        acked before the next is sent, instead of one monolithic frame —
-        so memory on both sides stays bounded by the chunk size plus one
-        reassembly buffer and a mid-transfer fault costs one chunk, not
-        the whole upload.  The daemon reassembles, checks the up-front
-        sha256 commitment, and runs the *same* inspection path as
-        :meth:`inspect`: the verdict bytes are identical, and the
-        retry/fail-closed semantics are shared.
+        The content travels as *chunk_size*-byte channel records, each
+        acked before the next is sent, instead of one frame.  It does not
+        bound memory: the client slices every chunk before it sends the
+        first, and the daemon reassembles the whole body before it
+        checks the up-front sha256 commitment and inspects.  Both verbs
+        are capped by ``protocol.MAX_BODY``.  Retries follow
+        :meth:`inspect`: each one resends from the first chunk, after a
+        reconnect and fresh attestation when the transport failed.  The
+        daemon runs the *same* inspection path as :meth:`inspect`, so
+        the verdict bytes are identical.
         """
         if chunk_size < 1:
             raise ProtocolError(f"chunk_size must be positive, got {chunk_size}")

@@ -51,7 +51,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.policy import PolicyRegistry
-from ..core.provisioning import expected_mrenclave
 from ..crypto import HmacDrbg
 from ..crypto.channel import SecureChannel, ServerHandshake
 from ..errors import (
@@ -87,10 +86,10 @@ _COUNTERS = tuple(
 class _PendingSubmit:
     """One in-flight streamed submission (``SUBMIT_BEGIN`` .. last chunk).
 
-    Content accumulates into a preallocated buffer and is hashed
-    incrementally as chunks land, so the commitment check after the
-    final chunk costs nothing extra and any corruption fails closed
-    before inspection runs.
+    Content accumulates into a buffer and is hashed incrementally as
+    chunks land, so the commitment check after the final chunk costs
+    nothing extra and any corruption fails closed before inspection
+    runs.
     """
 
     label: str
@@ -152,10 +151,9 @@ class InspectionDaemon:
         self.max_connections = max_connections
         self.cache = cache if cache is not None else InspectionCache(4096)
         # ``serial`` (default): one warm EnGarde, daemon threads funnel
-        # through ``_inspect_lock``.  ``process``: the zero-copy
-        # shared-memory executor — handler threads submit concurrently
-        # and misses fan out across cores (see docs/PERFORMANCE.md,
-        # "Zero-copy executor").
+        # through ``_inspect_lock``.  ``process``: the process pool —
+        # handler threads submit concurrently and misses fan out across
+        # cores (see docs/PERFORMANCE.md, "Process pool").
         self.inspector = inspector or BatchInspector(
             policies,
             mode=inspector_mode,
@@ -618,15 +616,6 @@ class InspectionDaemon:
             "device_key": {"n": f"{key.n:x}", "e": key.e},
             "geometry": self.hello_info()["geometry"],
         }
-
-    def expected_mrenclave(self) -> bytes:
-        """What every pooled enclave must measure to (for tests)."""
-        return expected_mrenclave(
-            self.policies,
-            heap_pages=self.pool.heap_pages,
-            client_pages=self.pool.client_pages,
-            enclave_pages=self.pool.enclave_pages,
-        )
 
     def store_info(self) -> dict:
         """Always-present store stats (``ZERO_STORE`` unless the cache is

@@ -6,11 +6,17 @@ the batch path — accept/reject bit, failed-policy list, rejection stage,
 executable-page list — must serialize byte-identically to what a lone
 ``EnGarde.inspect`` produces, in every execution mode, with the cache
 cold, warm, or shared.  Plus: error isolation, per-binary timeouts,
-in-flight dedup, and a concurrency soak.
+in-flight dedup, input snapshots, the pool's lifecycle and dispatch
+count, the process-mode daemon, and a concurrency soak.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -18,10 +24,13 @@ import pytest
 
 from repro.core import EnGarde, PolicyRegistry, StackProtectionPolicy
 from repro.service import (
+    VARIANT_KINDS,
     BatchInspector,
     InspectionCache,
+    default_workers,
     generate_variant_corpus,
 )
+from tests.conftest import compile_demo, daemon_client, small_daemon
 
 CORPUS_SIZE = 52
 
@@ -29,6 +38,11 @@ CORPUS_SIZE = 52
 @pytest.fixture(scope="module")
 def corpus(libc):
     return generate_variant_corpus(CORPUS_SIZE, libc=libc)
+
+
+@pytest.fixture(scope="module")
+def good_elf(libc):
+    return compile_demo(libc, stack_protector=True, ifcc=True, name="pool").elf
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +197,183 @@ class TestIsolationAndDedup:
         assert report.results[0].report is not None
         assert report.results[1].error is not None
         assert report.summary.errors == 1
+
+
+class TestInputSnapshots:
+    def test_mutable_buffers_are_snapshotted(self, all_policies, good_elf):
+        """bytearray/memoryview inputs are coerced once up front: cache
+        keys and verdicts belong to the bytes at submission time, not
+        whatever the caller later does to the buffer."""
+        with BatchInspector(all_policies, mode="serial") as inspector:
+            oracle = inspector.inspect_batch([("a", good_elf)]).results[0]
+            assert oracle.report is not None
+
+            buf = bytearray(good_elf)
+            first = inspector.inspect_batch([("a", buf)]).results[0]
+            assert first.source == "cache"  # same content as the bytes submit
+            assert first.report.serialize() == oracle.report.serialize()
+
+            buf[0] ^= 0xFF  # caller mutates their buffer afterwards...
+            second = inspector.inspect_batch([("a", buf)]).results[0]
+            # ...and gets a fresh verdict for the new content (corrupt
+            # magic -> structural reject), not the stale cache entry
+            assert second.source != "cache"
+            assert not second.report.compliant
+            assert second.report.rejected_stage == "elf"
+
+            # the original content's entry was never poisoned
+            again = inspector.inspect_batch([("a", good_elf)]).results[0]
+            assert again.source == "cache"
+            assert again.report.serialize() == oracle.report.serialize()
+
+    def test_memoryview_input_matches_bytes(self, all_policies, good_elf):
+        with BatchInspector(all_policies, mode="serial", cache=False) as insp:
+            a = insp.inspect_batch([("a", good_elf)]).results[0]
+            b = insp.inspect_batch([("a", memoryview(good_elf))]).results[0]
+        assert a.report.serialize() == b.report.serialize()
+
+
+class TestPool:
+    def test_default_workers(self, all_policies):
+        assert default_workers() == min(os.cpu_count() or 1, 8)
+        with BatchInspector(all_policies, mode="process") as inspector:
+            assert inspector.workers == default_workers()
+
+    def test_close_is_idempotent(self, all_policies, good_elf):
+        inspector = BatchInspector(all_policies, mode="process", workers=2)
+        report = inspector.inspect_batch([("a", good_elf)])
+        assert report.results[0].report is not None
+        inspector.close()
+        inspector.close()
+        assert inspector._executor is None
+
+    def test_close_with_inflight_future_then_reuse(self, all_policies, good_elf):
+        """close() after a timed-out task waits for the pool to drain,
+        and the inspector comes back with a correct verdict afterwards."""
+        inspector = BatchInspector(
+            all_policies, mode="process", workers=2, timeout=1e-6,
+        )
+        rushed = inspector.inspect_batch([("a", good_elf)]).results[0]
+        assert rushed.report is None
+        assert "timeout" in (rushed.error or "")
+        inspector.close()
+
+        inspector.timeout = None
+        fresh = inspector.inspect_batch([("b", good_elf)]).results[0]
+        assert fresh.report is not None
+        assert fresh.report.compliant
+        inspector.close()
+
+    def test_dispatch_counts_one_future_per_unique_miss(
+        self, corpus, all_policies
+    ):
+        fleet = corpus[:len(VARIANT_KINDS)]  # holds one duplicate
+        unique = len({raw for _, raw in fleet})
+        assert unique < len(fleet)
+        with BatchInspector(all_policies, mode="process", workers=2) as insp:
+            cold = insp.inspect_batch(fleet)
+            warm = insp.inspect_batch(fleet)
+        assert cold.summary.dispatch == {"futures_submitted": unique}
+        assert warm.summary.dispatch == {"futures_submitted": 0}
+        with BatchInspector(all_policies, mode="serial") as insp:
+            serial = insp.inspect_batch(fleet)
+        assert serial.summary.dispatch == {"futures_submitted": 0}
+
+    def test_serial_and_process_produce_identical_wire(
+        self, corpus, all_policies
+    ):
+        """Byte-identical verdict wire (or error text) for every variant
+        kind, including the reject paths."""
+        fleet = corpus[:len(VARIANT_KINDS)]  # one full rotation
+        runs = {}
+        for mode in ("serial", "process"):
+            with BatchInspector(
+                all_policies, workers=2, cache=False, mode=mode
+            ) as insp:
+                report = insp.inspect_batch(fleet)
+            runs[mode] = {
+                item.label: (
+                    ("report", item.report.serialize())
+                    if item.report is not None else ("error", item.error)
+                )
+                for item in report.results
+            }
+        assert runs["process"] == runs["serial"]
+
+    def test_daemon_serves_through_process_inspector(
+        self, all_policies, good_elf, demo_plain
+    ):
+        """End-to-end: attested client -> daemon -> process pool."""
+        daemon = small_daemon(
+            all_policies, inspector_mode="process", workers=2,
+        )
+        try:
+            client = daemon_client(daemon, all_policies, timeout=20.0)
+            with client:
+                good = client.inspect(good_elf, label="good")
+                bad = client.inspect(demo_plain.elf, label="bad")
+            assert daemon.inspector._executor is not None
+            assert not daemon.inspector.degraded
+            assert good.accepted
+            assert good.report.compliant
+            assert bad.report is not None and not bad.report.compliant
+        finally:
+            daemon.stop()
+            daemon.inspector.close()
+
+    def test_process_pool_never_loads_shared_memory(self):
+        """Each binary reaches its pool worker as the task argument: a
+        process-mode batch and a process-mode daemon submission run
+        without ever importing ``multiprocessing.shared_memory``."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = textwrap.dedent("""
+            import json, sys
+            from repro.service import BatchInspector
+            from tests.conftest import (
+                compile_demo, daemon_client, small_daemon,
+            )
+            from repro.core import (
+                IfccPolicy, LibraryLinkingPolicy, PolicyRegistry,
+                StackProtectionPolicy,
+            )
+            from repro.toolchain import build_libc
+
+            libc = build_libc()
+            policies = PolicyRegistry([
+                LibraryLinkingPolicy(libc.reference_hashes()),
+                StackProtectionPolicy(exempt_functions=set(libc.offsets)),
+                IfccPolicy(),
+            ])
+            elf = compile_demo(libc, stack_protector=True, ifcc=True).elf
+            with BatchInspector(policies, mode="process", workers=2) as bi:
+                item = bi.inspect_batch([("batch", elf)]).results[0]
+            daemon = small_daemon(
+                policies, inspector_mode="process", workers=2,
+            )
+            try:
+                with daemon_client(daemon, policies, timeout=20.0) as client:
+                    verdict = client.inspect(elf, label="daemon")
+                pooled = daemon.inspector._executor is not None
+            finally:
+                daemon.stop()
+                daemon.inspector.close()
+            print(json.dumps({
+                "batch": [item.source, item.accepted],
+                "daemon": [verdict.source, verdict.accepted, pooled],
+                "shared_memory": "multiprocessing.shared_memory" in sys.modules,
+            }))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=180,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["batch"] == ["inspected", True]
+        assert result["daemon"] == ["inspected", True, True]
+        assert result["shared_memory"] is False
 
 
 class TestCachePolicyIsolation:
