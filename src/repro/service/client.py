@@ -143,8 +143,8 @@ class InspectionClient:
         try:
             if hasattr(sock, "settimeout"):
                 sock.settimeout(self.timeout)
-            info = self._roundtrip_plain(sock, proto.T_HELLO, b"",
-                                         expect=proto.T_HELLO_OK)
+            info = self._roundtrip(sock, proto.T_HELLO, b"",
+                                   expect=proto.T_HELLO_OK)
             hello = _parse_json(info, "HELLO_OK")
             self._check_hello(hello)
             quote = self._attest(sock, hello)
@@ -180,8 +180,8 @@ class InspectionClient:
 
     def _attest(self, sock, hello: dict):
         challenge = self.rng.generate(16)
-        body = self._roundtrip_plain(sock, proto.T_ATTEST, challenge,
-                                     expect=proto.T_ATTEST_OK)
+        body = self._roundtrip(sock, proto.T_ATTEST, challenge,
+                               expect=proto.T_ATTEST_OK)
         quote = proto.quote_from_bytes(body)
         try:
             geometry = hello["geometry"]
@@ -203,9 +203,11 @@ class InspectionClient:
         )
         return quote
 
-    def _roundtrip_plain(self, sock, mtype: int, body: bytes, *, expect: int) -> bytes:
-        sock.send(proto.encode_message(mtype, body))
-        rtype, rbody = proto.decode_message(sock.recv())
+    def _roundtrip(self, link, mtype: int, body: bytes, *, expect: int) -> bytes:
+        """One request/response over *link*: the plaintext socket, or the
+        secure channel once :meth:`open` has established it."""
+        link.send(proto.encode_message(mtype, body))
+        rtype, rbody = proto.decode_message(link.recv())
         if rtype == proto.T_ERROR:
             raise RemoteError(*proto.decode_error(rbody))
         if rtype != expect:
@@ -214,19 +216,6 @@ class InspectionClient:
                 f"{proto.MESSAGE_TYPES.get(rtype, hex(rtype))}"
             )
         return rbody
-
-    def _roundtrip_secured(self, mtype: int, body: bytes, *, expect: int) -> tuple[int, bytes]:
-        assert self._channel is not None
-        self._channel.send(proto.encode_message(mtype, body))
-        rtype, rbody = proto.decode_message(self._channel.recv())
-        if rtype == proto.T_ERROR:
-            raise RemoteError(*proto.decode_error(rbody))
-        if rtype != expect:
-            raise ProtocolError(
-                f"expected {proto.MESSAGE_TYPES[expect]}, daemon sent "
-                f"{proto.MESSAGE_TYPES.get(rtype, hex(rtype))}"
-            )
-        return rtype, rbody
 
     def close(self) -> None:
         """Part cleanly (best-effort BYE) and drop the connection."""
@@ -272,34 +261,6 @@ class InspectionClient:
         channel-integrity failures trigger a full reconnect (fresh
         attestation) before the retry.
         """
-        return self._submit_with_retries(
-            label, lambda: self._submit_whole(label, raw_elf)
-        )
-
-    def inspect_streamed(
-        self, raw_elf: bytes, label: str = "client", *,
-        chunk_size: int = 0x40000,
-    ) -> ClientVerdict:
-        """Submit one binary as a ``SUBMIT_BEGIN``/``SUBMIT_CHUNK`` stream.
-
-        The content travels as *chunk_size*-byte channel records, each
-        acked before the next is sent, instead of one frame.  It does not
-        bound memory: the client slices every chunk before it sends the
-        first, and the daemon reassembles the whole body before it
-        checks the up-front sha256 commitment and inspects.  Both verbs
-        are capped by ``protocol.MAX_BODY``.  Retries follow
-        :meth:`inspect`: each one resends from the first chunk, after a
-        reconnect and fresh attestation when the transport failed.  The
-        daemon runs the *same* inspection path as :meth:`inspect`, so
-        the verdict bytes are identical.
-        """
-        if chunk_size < 1:
-            raise ProtocolError(f"chunk_size must be positive, got {chunk_size}")
-        return self._submit_with_retries(
-            label, lambda: self._submit_streamed(label, raw_elf, chunk_size)
-        )
-
-    def _submit_with_retries(self, label: str, submit) -> ClientVerdict:
         budget = (
             self.resilience.max_retransmits + 1 if self.resilience else 1
         )
@@ -312,7 +273,12 @@ class InspectionClient:
                 )
             try:
                 self.open()
-                source, wire = submit()
+                body = self._roundtrip(
+                    self._channel, proto.T_SUBMIT,
+                    proto.encode_submit(label, raw_elf),
+                    expect=proto.T_VERDICT,
+                )
+                source, wire = proto.decode_verdict(body)
                 report = ComplianceReport.deserialize(wire)
                 return ClientVerdict(
                     label=label, report=report, source=source,
@@ -335,46 +301,6 @@ class InspectionClient:
                 self._abandon()
         return ClientVerdict(label=label, error=last_error, attempts=budget)
 
-    def _submit_whole(self, label: str, raw_elf: bytes) -> tuple[str, bytes]:
-        _, body = self._roundtrip_secured(
-            proto.T_SUBMIT, proto.encode_submit(label, raw_elf),
-            expect=proto.T_VERDICT,
-        )
-        return proto.decode_verdict(body)
-
-    def _submit_streamed(
-        self, label: str, raw_elf: bytes, chunk_size: int
-    ) -> tuple[str, bytes]:
-        import hashlib
-
-        chunks = [
-            raw_elf[off:off + chunk_size]
-            for off in range(0, len(raw_elf), chunk_size)
-        ] or [b""]
-        digest = hashlib.sha256(raw_elf).digest()
-        _, ack = self._roundtrip_secured(
-            proto.T_SUBMIT_BEGIN,
-            proto.encode_submit_begin(label, len(raw_elf), len(chunks), digest),
-            expect=proto.T_SUBMIT_OK,
-        )
-        proto.decode_chunk_ack(ack)
-        sent = 0
-        for chunk in chunks[:-1]:
-            sent += len(chunk)
-            _, ack = self._roundtrip_secured(
-                proto.T_SUBMIT_CHUNK, chunk, expect=proto.T_CHUNK_OK,
-            )
-            held = proto.decode_chunk_ack(ack)
-            if held != sent:
-                raise ProtocolError(
-                    f"chunk ack mismatch: sent {sent} content bytes, "
-                    f"daemon holds {held}"
-                )
-        _, body = self._roundtrip_secured(
-            proto.T_SUBMIT_CHUNK, chunks[-1], expect=proto.T_VERDICT,
-        )
-        return proto.decode_verdict(body)
-
     def status(self) -> dict:
         """``STATUS`` probe (over the channel when open, plaintext else)."""
         return self._probe(proto.T_STATUS, proto.T_STATUS_OK)
@@ -386,13 +312,13 @@ class InspectionClient:
     def _probe(self, mtype: int, expect: int) -> dict:
         what = proto.MESSAGE_TYPES[expect]
         if self._channel is not None:
-            _, body = self._roundtrip_secured(mtype, b"", expect=expect)
+            body = self._roundtrip(self._channel, mtype, b"", expect=expect)
             return _parse_json(body, what)
         sock = self._connect()
         try:
             if hasattr(sock, "settimeout"):
                 sock.settimeout(self.timeout)
-            body = self._roundtrip_plain(sock, mtype, b"", expect=expect)
+            body = self._roundtrip(sock, mtype, b"", expect=expect)
             try:
                 sock.send(proto.encode_message(proto.T_BYE))
                 proto.decode_message(sock.recv())

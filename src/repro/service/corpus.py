@@ -1,9 +1,10 @@
 """Deterministic corpora of workload variants for stress/differential runs.
 
-The batch-service tests and the throughput benchmark need *fleets*: many
-small, distinct binaries spanning every verdict the pipeline can produce
-— compliant, policy-rejected, and structurally rejected — plus exact
-duplicates to exercise the cache.  Building the paper's seven full
+The batch-service and daemon tests and the benchmark's batch-pool and
+daemon-mix workloads need *fleets*: many small, distinct binaries
+spanning every verdict the pipeline can produce — compliant,
+policy-rejected, and structurally rejected — plus exact duplicates to
+exercise the cache.  Building the paper's seven full
 benchmarks fifty times over would dominate test time, so this module
 generates small synthetic programs through the real toolchain (every
 byte still flows through the compiler, linker, and ELF writer) with

@@ -60,7 +60,6 @@ from ..errors import (
     ReproError,
     ServiceError,
 )
-from ..faults.clock import Clock, SystemClock
 from ..net import QueueSocket, TcpListener, queue_pair
 from . import protocol as proto
 from .batch import BatchInspector, BatchItemResult
@@ -83,26 +82,6 @@ _COUNTERS = tuple(
 
 
 @dataclass
-class _PendingSubmit:
-    """One in-flight streamed submission (``SUBMIT_BEGIN`` .. last chunk).
-
-    Content accumulates into a buffer and is hashed incrementally as
-    chunks land, so the commitment check after the final chunk costs
-    nothing extra and any corruption fails closed before inspection
-    runs.
-    """
-
-    label: str
-    total: int
-    chunks: int
-    digest: bytes
-    buf: bytearray = field(default_factory=bytearray, repr=False)
-    hasher: object = field(default_factory=hashlib.sha256, repr=False)
-    received: int = 0
-    seen: int = 0
-
-
-@dataclass
 class _Connection:
     """Daemon-side bookkeeping for one live client connection."""
 
@@ -114,8 +93,6 @@ class _Connection:
     state: str = "plain"  # plain -> secured -> closed
     entry: PooledEnclave | None = None
     channel: SecureChannel | None = field(default=None, repr=False)
-    #: streamed submission being reassembled, if any
-    pending: _PendingSubmit | None = field(default=None, repr=False)
 
 
 class InspectionDaemon:
@@ -129,7 +106,6 @@ class InspectionDaemon:
         inspector_mode: str = "serial",
         workers: int | None = None,
         cache: InspectionCache | None = None,
-        pool: EnclavePool | None = None,
         pool_size: int = 2,
         rsa_bits: int = 1024,
         heap_pages: int = 128,
@@ -138,14 +114,10 @@ class InspectionDaemon:
         read_timeout: float = 10.0,
         max_connections: int = 64,
         retries: int = 0,
-        deadline: float | None = None,
         quarantine_threshold: int | None = None,
-        clock: Clock | None = None,
         rng: HmacDrbg | None = None,
-        metrics: DaemonMetrics | None = None,
     ) -> None:
         self.policies = policies
-        self.clock = clock or SystemClock()
         self.rng = rng or HmacDrbg(b"inspection-daemon")
         self.read_timeout = read_timeout
         self.max_connections = max_connections
@@ -160,13 +132,11 @@ class InspectionDaemon:
             workers=workers,
             cache=self.cache,
             retries=retries,
-            deadline=deadline,
             quarantine_threshold=quarantine_threshold,
-            clock=self.clock,
         )
         if inspector is not None and inspector.cache is not None:
             self.cache = inspector.cache
-        self.pool = pool or EnclavePool(
+        self.pool = EnclavePool(
             policies,
             size=pool_size,
             rsa_bits=rsa_bits,
@@ -176,7 +146,7 @@ class InspectionDaemon:
             concurrency=max_connections,
             rng=self.rng.fork(b"pool"),
         )
-        self.metrics = metrics or DaemonMetrics()
+        self.metrics = DaemonMetrics()
         self.metrics.touch(*_COUNTERS)
         self.policy_digest = hashlib.sha256(
             policies.digest_material()
@@ -382,8 +352,7 @@ class InspectionDaemon:
             elif mtype == proto.T_ATTEST:
                 self._attest_and_secure(conn, body, t0)
                 return
-            elif mtype in (proto.T_SUBMIT, proto.T_SUBMIT_BEGIN,
-                           proto.T_SUBMIT_CHUNK):
+            elif mtype == proto.T_SUBMIT:
                 raise ProtocolError(
                     f"out-of-order {verb}: the attested secure channel must "
                     "be established first (ATTEST, then key exchange)"
@@ -446,65 +415,8 @@ class InspectionDaemon:
         verb = proto.MESSAGE_TYPES[mtype]
         self.metrics.inc(f"requests.{verb}")
         if mtype == proto.T_SUBMIT:
-            if conn.pending is not None:
-                raise ProtocolError(
-                    "whole-body SUBMIT inside a streamed submission — "
-                    "finish or abandon the SUBMIT_BEGIN stream first"
-                )
             label, raw = proto.decode_submit(body)
             self._answer_submit(conn, channel, label, raw)
-        elif mtype == proto.T_SUBMIT_BEGIN:
-            if conn.pending is not None:
-                raise ProtocolError(
-                    "out-of-order SUBMIT_BEGIN: a streamed submission is "
-                    "already in flight on this connection"
-                )
-            label, total, chunks, digest = proto.decode_submit_begin(body)
-            conn.pending = _PendingSubmit(
-                label=label, total=total, chunks=chunks, digest=digest,
-                buf=bytearray(),
-            )
-            channel.send(proto.encode_message(
-                proto.T_SUBMIT_OK, proto.encode_chunk_ack(0)
-            ))
-            self.metrics.inc("responses.sent")
-        elif mtype == proto.T_SUBMIT_CHUNK:
-            pending = conn.pending
-            if pending is None:
-                raise ProtocolError(
-                    "out-of-order SUBMIT_CHUNK: no SUBMIT_BEGIN announced "
-                    "a streamed submission on this connection"
-                )
-            pending.seen += 1
-            pending.received += len(body)
-            if pending.received > pending.total:
-                conn.pending = None
-                raise ProtocolError(
-                    f"streamed submit overrun: announced {pending.total} "
-                    f"bytes, received {pending.received}"
-                )
-            pending.buf += body
-            pending.hasher.update(body)
-            if pending.seen < pending.chunks:
-                channel.send(proto.encode_message(
-                    proto.T_CHUNK_OK, proto.encode_chunk_ack(pending.received)
-                ))
-                self.metrics.inc("responses.sent")
-            else:
-                conn.pending = None
-                if pending.received != pending.total:
-                    raise ProtocolError(
-                        f"streamed submit truncated: announced "
-                        f"{pending.total} bytes, received {pending.received}"
-                    )
-                if pending.hasher.digest() != pending.digest:
-                    raise ProtocolError(
-                        "streamed submit digest mismatch: reassembled "
-                        "content does not match the SUBMIT_BEGIN commitment"
-                    )
-                self._answer_submit(
-                    conn, channel, pending.label, bytes(pending.buf)
-                )
         elif mtype == proto.T_STATUS:
             channel.send(proto.encode_message(
                 proto.T_STATUS_OK, json.dumps(self.status()).encode()
@@ -538,9 +450,7 @@ class InspectionDaemon:
 
     def _answer_submit(self, conn: _Connection, channel: SecureChannel,
                        label: str, raw: bytes) -> None:
-        """Run one inspection and answer VERDICT/ERROR over *channel* —
-        shared by whole-body SUBMIT and the final streamed chunk, so the
-        verdict bytes are identical either way."""
+        """Run one inspection and answer VERDICT/ERROR over *channel*."""
         conn.busy = True
         try:
             item = self._inspect(label, raw)

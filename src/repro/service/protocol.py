@@ -24,22 +24,18 @@ out-of-order verbs, in the spirit of Guardian's entry/exit orderliness
 checking):
 
 1. plaintext phase — ``HELLO``, ``STATUS``, ``METRICS``, ``BYE`` in any
-   order, then at most one ``ATTEST``;
+   order, then at most one ``ATTEST``; a ``SUBMIT`` here is out of
+   order;
 2. after ``ATTEST_OK`` the server immediately sends its channel public
    key (the raw handshake frame of :class:`repro.crypto.channel`), the
    client answers with the key-wrap frame, and the connection switches
    to *secured* mode;
 3. secured phase — every subsequent socket message is a secure-channel
-   record whose plaintext is again a protocol message: ``SUBMIT`` →
-   ``VERDICT`` (or ``ERROR``), ``STATUS``/``METRICS`` probes, and
-   ``BYE`` to part cleanly.  Large content may instead be streamed:
-   ``SUBMIT_BEGIN`` (label, total size, chunk count, sha256 commitment)
-   → ``SUBMIT_OK``, then one ``SUBMIT_CHUNK`` per piece — each
-   non-final chunk is acked with ``CHUNK_OK`` carrying the byte count
-   the daemon holds, and the final chunk is answered with the same
-   ``VERDICT``/``ERROR`` a whole-body ``SUBMIT`` would produce.  The
-   daemon hashes incrementally as chunks land and fails closed on any
-   size or digest mismatch before inspection runs.
+   record whose plaintext is again a protocol message: ``SUBMIT`` with
+   the whole binary → ``VERDICT`` (or ``ERROR``), ``STATUS``/``METRICS``
+   probes, and ``BYE`` to part cleanly.  A second ``ATTEST``, a
+   response code or an unknown type is answered with an authenticated
+   ``ERROR`` and a hang-up.
 
 ``ERROR`` bodies are JSON ``{"stage": ..., "error": ...}`` where
 ``error`` is the typed ``ExcName: detail`` text the rest of the code
@@ -58,15 +54,12 @@ from .batch import BatchItemResult
 __all__ = [
     "PROTOCOL_VERSION", "MAGIC", "MAX_BODY",
     "T_HELLO", "T_ATTEST", "T_SUBMIT", "T_STATUS", "T_METRICS", "T_BYE",
-    "T_SUBMIT_BEGIN", "T_SUBMIT_CHUNK",
     "T_HELLO_OK", "T_ATTEST_OK", "T_VERDICT", "T_STATUS_OK", "T_METRICS_OK",
-    "T_BYE_OK", "T_SUBMIT_OK", "T_CHUNK_OK", "T_ERROR",
+    "T_BYE_OK", "T_ERROR",
     "MESSAGE_TYPES", "REQUEST_TYPES", "RESPONSE_TYPES",
     "encode_message", "decode_message",
     "encode_error", "decode_error",
     "encode_submit", "decode_submit",
-    "encode_submit_begin", "decode_submit_begin",
-    "encode_chunk_ack", "decode_chunk_ack",
     "encode_verdict", "decode_verdict",
     "quote_to_bytes", "quote_from_bytes",
 ]
@@ -84,8 +77,6 @@ T_SUBMIT = 0x03
 T_STATUS = 0x04
 T_METRICS = 0x05
 T_BYE = 0x06
-T_SUBMIT_BEGIN = 0x07
-T_SUBMIT_CHUNK = 0x08
 # Responses (request | 0x80).
 T_HELLO_OK = 0x81
 T_ATTEST_OK = 0x82
@@ -93,19 +84,15 @@ T_VERDICT = 0x83
 T_STATUS_OK = 0x84
 T_METRICS_OK = 0x85
 T_BYE_OK = 0x86
-T_SUBMIT_OK = 0x87
-T_CHUNK_OK = 0x88
 T_ERROR = 0xFF
 
 REQUEST_TYPES = {
     T_HELLO: "HELLO", T_ATTEST: "ATTEST", T_SUBMIT: "SUBMIT",
     T_STATUS: "STATUS", T_METRICS: "METRICS", T_BYE: "BYE",
-    T_SUBMIT_BEGIN: "SUBMIT_BEGIN", T_SUBMIT_CHUNK: "SUBMIT_CHUNK",
 }
 RESPONSE_TYPES = {
     T_HELLO_OK: "HELLO_OK", T_ATTEST_OK: "ATTEST_OK", T_VERDICT: "VERDICT",
     T_STATUS_OK: "STATUS_OK", T_METRICS_OK: "METRICS_OK", T_BYE_OK: "BYE_OK",
-    T_SUBMIT_OK: "SUBMIT_OK", T_CHUNK_OK: "CHUNK_OK",
     T_ERROR: "ERROR",
 }
 MESSAGE_TYPES = {**REQUEST_TYPES, **RESPONSE_TYPES}
@@ -200,76 +187,6 @@ def decode_submit(body: bytes) -> tuple[str, bytes]:
         errors="replace"
     )
     return label, bytes(body[_SUBMIT_HDR.size + label_len:])
-
-
-# ------------------------------------------------------- streamed submit
-
-#: label length, chunk count, total content size
-_SUBMIT_BEGIN_HDR = struct.Struct(">HIQ")
-#: ``CHUNK_OK``/``SUBMIT_OK`` ack: content bytes the daemon holds so far
-_CHUNK_ACK = struct.Struct(">Q")
-#: sha256 commitment length carried by ``SUBMIT_BEGIN``
-_DIGEST_LEN = 32
-
-
-def encode_submit_begin(
-    label: str, total_size: int, chunk_count: int, digest: bytes
-) -> bytes:
-    """``SUBMIT_BEGIN`` body: announce a chunked submission.
-
-    *digest* is the sha256 of the full content, committed up front so
-    the daemon can fail closed on any reassembly or in-transit
-    corruption before a single policy module runs.
-    """
-    encoded = label.encode()
-    if len(encoded) > 0xFFFF:
-        raise ProtocolError("submit label exceeds 65535 bytes")
-    if chunk_count < 1:
-        raise ProtocolError("streamed submit must announce at least one chunk")
-    if total_size > MAX_BODY:
-        raise ProtocolError(
-            f"streamed submit of {total_size} bytes exceeds protocol limit"
-        )
-    if len(digest) != _DIGEST_LEN:
-        raise ProtocolError(
-            f"submit digest must be {_DIGEST_LEN} bytes, got {len(digest)}"
-        )
-    return (
-        _SUBMIT_BEGIN_HDR.pack(len(encoded), chunk_count, total_size)
-        + digest + encoded
-    )
-
-
-def decode_submit_begin(body: bytes) -> tuple[str, int, int, bytes]:
-    """(label, total_size, chunk_count, digest) from ``SUBMIT_BEGIN``."""
-    if len(body) < _SUBMIT_BEGIN_HDR.size + _DIGEST_LEN:
-        raise ProtocolError("submit-begin body shorter than its header")
-    label_len, chunk_count, total_size = _SUBMIT_BEGIN_HDR.unpack_from(body)
-    if chunk_count < 1:
-        raise ProtocolError("streamed submit must announce at least one chunk")
-    if total_size > MAX_BODY:
-        raise ProtocolError(
-            f"streamed submit of {total_size} bytes exceeds protocol limit"
-        )
-    off = _SUBMIT_BEGIN_HDR.size
-    digest = bytes(body[off:off + _DIGEST_LEN])
-    off += _DIGEST_LEN
-    if len(body) != off + label_len:
-        raise ProtocolError("submit-begin label truncated")
-    label = body[off:off + label_len].decode(errors="replace")
-    return label, total_size, chunk_count, digest
-
-
-def encode_chunk_ack(received: int) -> bytes:
-    return _CHUNK_ACK.pack(received)
-
-
-def decode_chunk_ack(body: bytes) -> int:
-    if len(body) != _CHUNK_ACK.size:
-        raise ProtocolError(
-            f"chunk ack must be {_CHUNK_ACK.size} bytes, got {len(body)}"
-        )
-    return _CHUNK_ACK.unpack(body)[0]
 
 
 def encode_verdict(item: BatchItemResult) -> bytes:

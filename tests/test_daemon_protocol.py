@@ -65,6 +65,16 @@ def _expect_typed_error(sock, pattern: str) -> tuple[str, str]:
     return stage, error
 
 
+def _expect_channel_error(channel, pattern: str) -> str:
+    """The daemon must answer an authenticated typed ERROR on the channel."""
+    rtype, body = proto.decode_message(channel.recv())
+    assert rtype == proto.T_ERROR, proto.MESSAGE_TYPES.get(rtype)
+    _, error = proto.decode_error(body)
+    assert _TYPED_ERROR.match(error), error
+    assert re.search(pattern, error), (pattern, error)
+    return error
+
+
 def _await_cleanup(daemon, *, timeout: float = 10.0) -> None:
     """The connection must be reaped and its pool entry returned."""
     deadline = time.monotonic() + timeout
@@ -97,10 +107,12 @@ class TestMalformedFrames:
         _expect_typed_error(sock, "unsupported protocol version")
 
     def test_unknown_verb(self, daemon):
-        sock = daemon.connect_inproc(timeout=5.0)
-        sock.send(b"EG" + bytes([proto.PROTOCOL_VERSION, 0x6F])
-                  + struct.pack(">I", 0))
-        _expect_typed_error(sock, "unknown message type")
+        # 0x07/0x08/0x87/0x88 are the retired streamed-submit codes
+        for mtype in (0x6F, 0x07, 0x08, 0x87, 0x88):
+            sock = daemon.connect_inproc(timeout=5.0)
+            sock.send(b"EG" + bytes([proto.PROTOCOL_VERSION, mtype])
+                      + struct.pack(">I", 0))
+            _expect_typed_error(sock, "unknown message type")
 
     def test_oversized_declared_length(self, daemon):
         sock = daemon.connect_inproc(timeout=5.0)
@@ -153,6 +165,20 @@ class TestOrderliness:
         assert _TYPED_ERROR.match(error)
         assert "out-of-order ATTEST" in error
         client._abandon()
+
+    def test_unknown_verb_inside_channel_is_rejected(
+        self, daemon, all_policies
+    ):
+        client = daemon_client(daemon, all_policies)
+        client.open()
+        # a retired streamed-submit code; encode_message refuses it
+        client._channel.send(
+            b"EG" + bytes([proto.PROTOCOL_VERSION, 0x07])
+            + struct.pack(">I", 0)
+        )
+        _expect_channel_error(client._channel, "unknown message type")
+        client._abandon()
+        _await_cleanup(daemon)
 
     def test_bad_challenge_length_is_rejected(self, daemon):
         sock = daemon.connect_inproc(timeout=5.0)
@@ -298,194 +324,6 @@ class TestSeededFaultPlans:
         verdict = clean.inspect(raw, label)
         assert verdict.wire == baseline[label]
         clean.close()
-
-
-def _expect_channel_error(channel, pattern: str) -> str:
-    """The daemon must answer an authenticated typed ERROR on the channel."""
-    rtype, body = proto.decode_message(channel.recv())
-    assert rtype == proto.T_ERROR, proto.MESSAGE_TYPES.get(rtype)
-    _, error = proto.decode_error(body)
-    assert _TYPED_ERROR.match(error), error
-    assert re.search(pattern, error), (pattern, error)
-    return error
-
-
-class TestStreamedSubmitCodec:
-    def test_begin_roundtrip(self):
-        import hashlib
-
-        digest = hashlib.sha256(b"payload").digest()
-        body = proto.encode_submit_begin("app/v2", 1234, 5, digest)
-        assert proto.decode_submit_begin(body) == ("app/v2", 1234, 5, digest)
-
-    def test_begin_rejects_bad_fields(self):
-        from repro.errors import ProtocolError
-
-        digest = b"\x00" * 32
-        with pytest.raises(ProtocolError):
-            proto.encode_submit_begin("x", 10, 0, digest)
-        with pytest.raises(ProtocolError):
-            proto.encode_submit_begin("x", proto.MAX_BODY + 1, 1, digest)
-        with pytest.raises(ProtocolError):
-            proto.encode_submit_begin("x", 10, 1, b"short")
-        with pytest.raises(ProtocolError):
-            proto.decode_submit_begin(b"\x00\x01")
-        good = proto.encode_submit_begin("label", 10, 1, digest)
-        with pytest.raises(ProtocolError):
-            proto.decode_submit_begin(good[:-1])  # truncated label
-
-    def test_chunk_ack_roundtrip(self):
-        from repro.errors import ProtocolError
-
-        assert proto.decode_chunk_ack(proto.encode_chunk_ack(0)) == 0
-        assert proto.decode_chunk_ack(proto.encode_chunk_ack(2**40)) == 2**40
-        with pytest.raises(ProtocolError):
-            proto.decode_chunk_ack(b"\x00" * 7)
-
-
-class TestStreamedSubmit:
-    """SUBMIT_BEGIN/SUBMIT_CHUNK: same verdict bytes, fail-closed stream."""
-
-    def test_streamed_verdict_identical_to_whole_body(
-        self, daemon, all_policies, corpus, baseline
-    ):
-        client = daemon_client(daemon, all_policies)
-        label, raw = corpus[0]
-        streamed = client.inspect_streamed(raw, label, chunk_size=1024)
-        assert streamed.report is not None, streamed.error
-        assert streamed.wire == baseline[label]
-        # and the daemon's caches are shared with the whole-body path
-        again = client.inspect(raw, label)
-        assert again.source == "cache"
-        assert again.wire == streamed.wire
-        client.close()
-
-    def test_single_chunk_stream(self, daemon, all_policies, corpus, baseline):
-        client = daemon_client(daemon, all_policies)
-        label, raw = corpus[1]
-        verdict = client.inspect_streamed(raw, label, chunk_size=len(raw) + 1)
-        assert verdict.report is not None, verdict.error
-        assert verdict.wire == baseline[label]
-        client.close()
-
-    def test_streamed_verbs_before_attest_are_rejected(self, daemon):
-        import hashlib
-
-        sock = daemon.connect_inproc(timeout=5.0)
-        sock.send(proto.encode_message(
-            proto.T_SUBMIT_BEGIN,
-            proto.encode_submit_begin(
-                "sneak", 4, 1, hashlib.sha256(b"ELF!").digest()
-            ),
-        ))
-        _expect_typed_error(sock, "out-of-order SUBMIT_BEGIN")
-        sock2 = daemon.connect_inproc(timeout=5.0)
-        sock2.send(proto.encode_message(proto.T_SUBMIT_CHUNK, b"ELF!"))
-        _expect_typed_error(sock2, "out-of-order SUBMIT_CHUNK")
-
-    def test_chunk_without_begin_fails_closed(self, daemon, all_policies):
-        client = daemon_client(daemon, all_policies)
-        client.open()
-        client._channel.send(proto.encode_message(proto.T_SUBMIT_CHUNK, b"x"))
-        _expect_channel_error(client._channel, "no SUBMIT_BEGIN")
-        client._abandon()
-        _await_cleanup(daemon)
-
-    def test_begin_inside_begin_fails_closed(self, daemon, all_policies):
-        import hashlib
-
-        client = daemon_client(daemon, all_policies)
-        client.open()
-        begin = proto.encode_submit_begin(
-            "app", 8, 2, hashlib.sha256(b"\x00" * 8).digest()
-        )
-        client._channel.send(proto.encode_message(proto.T_SUBMIT_BEGIN, begin))
-        rtype, ack = proto.decode_message(client._channel.recv())
-        assert rtype == proto.T_SUBMIT_OK
-        assert proto.decode_chunk_ack(ack) == 0
-        client._channel.send(proto.encode_message(proto.T_SUBMIT_BEGIN, begin))
-        _expect_channel_error(
-            client._channel, "streamed submission is already in flight"
-        )
-        client._abandon()
-        _await_cleanup(daemon)
-
-    def test_whole_body_submit_inside_stream_fails_closed(
-        self, daemon, all_policies
-    ):
-        import hashlib
-
-        client = daemon_client(daemon, all_policies)
-        client.open()
-        client._channel.send(proto.encode_message(
-            proto.T_SUBMIT_BEGIN,
-            proto.encode_submit_begin(
-                "app", 8, 2, hashlib.sha256(b"\x00" * 8).digest()
-            ),
-        ))
-        proto.decode_message(client._channel.recv())
-        client._channel.send(proto.encode_message(
-            proto.T_SUBMIT, proto.encode_submit("app", b"\x7fELF")
-        ))
-        _expect_channel_error(client._channel, "whole-body SUBMIT inside")
-        client._abandon()
-        _await_cleanup(daemon)
-
-    def test_digest_mismatch_fails_closed(self, daemon, all_policies, corpus):
-        import hashlib
-
-        client = daemon_client(daemon, all_policies)
-        client.open()
-        _, raw = corpus[0]
-        wrong = hashlib.sha256(raw + b"tamper").digest()
-        client._channel.send(proto.encode_message(
-            proto.T_SUBMIT_BEGIN,
-            proto.encode_submit_begin("app", len(raw), 1, wrong),
-        ))
-        rtype, _ = proto.decode_message(client._channel.recv())
-        assert rtype == proto.T_SUBMIT_OK
-        client._channel.send(proto.encode_message(proto.T_SUBMIT_CHUNK, raw))
-        _expect_channel_error(client._channel, "digest mismatch")
-        client._abandon()
-        _await_cleanup(daemon)
-
-    def test_overrun_fails_closed(self, daemon, all_policies):
-        import hashlib
-
-        client = daemon_client(daemon, all_policies)
-        client.open()
-        client._channel.send(proto.encode_message(
-            proto.T_SUBMIT_BEGIN,
-            proto.encode_submit_begin(
-                "app", 4, 2, hashlib.sha256(b"\x00" * 4).digest()
-            ),
-        ))
-        proto.decode_message(client._channel.recv())
-        client._channel.send(proto.encode_message(
-            proto.T_SUBMIT_CHUNK, b"\x00" * 8
-        ))
-        _expect_channel_error(client._channel, "overrun")
-        client._abandon()
-        _await_cleanup(daemon)
-
-    def test_truncation_fails_closed(self, daemon, all_policies):
-        import hashlib
-
-        client = daemon_client(daemon, all_policies)
-        client.open()
-        client._channel.send(proto.encode_message(
-            proto.T_SUBMIT_BEGIN,
-            proto.encode_submit_begin(
-                "app", 100, 1, hashlib.sha256(b"\x00" * 100).digest()
-            ),
-        ))
-        proto.decode_message(client._channel.recv())
-        client._channel.send(proto.encode_message(
-            proto.T_SUBMIT_CHUNK, b"\x00" * 10
-        ))
-        _expect_channel_error(client._channel, "truncated")
-        client._abandon()
-        _await_cleanup(daemon)
 
 
 class TestStoreSchemaPins:

@@ -65,11 +65,17 @@ def _assert_identical(results, baseline, corpus):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("mode", ["serial", "process"])
+    @pytest.mark.parametrize("mode,workers", [
+        pytest.param("serial", 4, id="serial"),
+        pytest.param("process", 4, id="process"),
+        pytest.param("process", 1, id="process-1-worker"),
+    ])
     def test_batch_matches_sequential_baseline(
-        self, mode, corpus, baseline, all_policies
+        self, mode, workers, corpus, baseline, all_policies
     ):
-        with BatchInspector(all_policies, workers=4, mode=mode) as inspector:
+        with BatchInspector(
+            all_policies, workers=workers, mode=mode
+        ) as inspector:
             report = inspector.inspect_batch(corpus)
         _assert_identical(report.results, baseline, corpus)
         summary = report.summary
