@@ -12,7 +12,6 @@ from .engarde import (
     InspectionOutcome,
     static_text_pages,
 )
-from .funcid import RecognizedFunctions, recognize_functions
 from .loader import LoadedImage, Loader
 from .policies import IfccPolicy, LibraryLinkingPolicy, StackProtectionPolicy
 from .policy import (
@@ -49,5 +48,4 @@ __all__ = [
     "provision", "expected_mrenclave",
     "EnclaveExecutor", "ExecutionResult",
     "StackSmashDetected", "ClientAborted",
-    "recognize_functions", "RecognizedFunctions",
 ]

@@ -53,32 +53,33 @@ class DisassemblyResult:
     text_vaddr: int
     #: pages of instruction-buffer memory requested from the host
     buffer_pages_allocated: int
-    #: streamed prescan artifacts when the scan was verified and used
+    #: prescan artifacts the buffer was validated with (None on the
+    #: ``optimized=False`` reference path)
     scan: StreamScan | None = None
 
     def policy_context(self, meter: CycleMeter, *, cached: bool = True) -> PolicyContext:
-        scan = self.scan
-        if scan is not None and cached:
-            # Seed the context with the prescan's byproducts: the offset
-            # index and call-site views were already collected while the
-            # content streamed in, so the policy stage starts warm.
-            ctx = PolicyContext(
+        """The policy modules' view; uncached for a result without a scan
+        (the reference path), which has no prescan views to share."""
+        if not cached or self.scan is None:
+            return PolicyContext(
                 instructions=self.instructions,
                 symtab=self.symtab,
                 image=self.image,
                 meter=meter,
-                index_by_offset=scan.by_offset,
-                cached=cached,
+                cached=False,
             )
-            ctx._call_sites = (scan.direct_calls, scan.indirect_idx)
-            ctx.delta = scan.delta
-            return ctx
+        # Seed the context with the prescan's byproducts: the offset index
+        # and call-site views were collected with the decode, so the
+        # policy stage starts warm.
+        scan = self.scan
         return PolicyContext(
             instructions=self.instructions,
             symtab=self.symtab,
             image=self.image,
             meter=meter,
-            cached=cached,
+            index_by_offset=scan.by_offset,
+            call_sites=(scan.direct_calls, scan.indirect_idx),
+            delta=scan.delta,
         )
 
 
@@ -91,13 +92,14 @@ class Disassembler:
     paper optimised away — one trampoline per instruction record instead
     of one per page — for the ablation benchmark.
 
-    *optimized* selects the decode loop: the default drives the
-    dispatch-table decoder through a resumable cursor and flushes meter
-    charges once per stage; ``optimized=False`` runs the frozen
-    pre-optimization loop (per-instruction ``ref_decode_one`` + three
-    per-instruction ``charge`` calls) for differential testing and
-    baseline benchmarks.  Both produce identical instructions, identical
-    trampoline call sequences, and tick-identical meter totals.
+    *optimized* selects the front end: the default decodes the text with
+    the resumable-cursor decoder, prescans it once and validates over the
+    prescan artifacts (:meth:`run`); ``optimized=False`` runs the frozen
+    pre-optimization stage (per-instruction ``ref_decode_one`` + three
+    per-instruction ``charge`` calls, then the reference ``validate``
+    passes) for differential testing and baseline benchmarks.  Both
+    produce identical instructions, identical trampoline call sequences,
+    and tick-identical meter totals.
     """
 
     def __init__(
@@ -106,15 +108,11 @@ class Disassembler:
         *,
         alloc_pages=None,
         per_insn_malloc: bool = False,
-        allow_stripped: bool = False,
         optimized: bool = True,
     ) -> None:
         self.meter = meter
         self._alloc_pages = alloc_pages or (lambda n: 0)
         self.per_insn_malloc = per_insn_malloc
-        #: extension (paper section 6): recover function starts in
-        #: stripped binaries instead of auto-rejecting them
-        self.allow_stripped = allow_stripped
         self.optimized = optimized
 
     # ------------------------------------------------------------ stages
@@ -150,7 +148,7 @@ class Disassembler:
             raise RejectionError(f"malformed ELF: {exc}", stage="elf") from exc
         if not image.text_sections:
             raise RejectionError("no executable sections", stage="elf")
-        if not image.function_symbols() and not self.allow_stripped:
+        if not image.function_symbols():
             # Paper section 6: stripped binaries are auto-rejected.
             raise RejectionError(
                 "binary carries no function symbols (stripped binaries "
@@ -159,96 +157,100 @@ class Disassembler:
             )
         return image
 
-    def disassemble(self, image: ElfImage) -> DisassemblyResult:
-        """Decode all text sections into the dynamic instruction buffer."""
-        meter = self.meter
+    @staticmethod
+    def _text_section(image: ElfImage):
         if len(image.text_sections) != 1:
             raise RejectionError(
                 "expected exactly one text section", stage="disasm"
             )
-        text = image.text_sections[0]
+        return image.text_sections[0]
 
-        if self.optimized:
-            instructions, buffer_pages = self._decode_fast(text.data)
-        else:
-            instructions, buffer_pages = self._decode_reference(text.data)
+    def run(self, raw: bytes, scan: StreamScan | None = None) -> DisassemblyResult:
+        """Full stage: parse, page-split check, decode, validate.
 
-        symtab, roots = self._build_symtab(image, text, instructions)
+        *scan* is an optional speculative :class:`StreamScan` of the text,
+        collected while the content streamed in (or spliced from the
+        previous version's).  It is adopted only when it completed without
+        a decode error, no fault plan watches the decoder, and the bytes
+        it decoded equal the exactly-parsed text section.  Otherwise the
+        text is decoded and prescanned here (:meth:`_decode`).  Either way
+        the stage ends in :meth:`_disassemble_from_scan`, so the adopted
+        and the fresh scan give the same verdict, trampoline sequence and
+        meter totals.
+        """
+        image = self.parse_elf(raw)
+        self.check_page_separation(image)
+        if not self.optimized:
+            return self.disassemble(image)
+        code = self._text_section(image).data
+        if (
+            scan is None
+            or scan.error is not None
+            or _faults.wants("x86.decoder")
+            or scan.code != code
+        ):
+            scan = self._decode(code)
+        return self._disassemble_from_scan(image, scan)
 
-        entry_offset = image.entry - text.vaddr
+    #: alias of :meth:`run`, kept because perfbench's span table binds
+    #: both names
+    run_streamed = run
+
+    def _decode(self, code: bytes) -> StreamScan:
+        """Decode *code* into the instruction buffer, then prescan it.
+
+        A decode error replays the buffer growth and charges of the
+        instructions completed before it — what the per-instruction
+        reference loop charges — and rejects.
+        """
+        instructions: list[Instruction] = []
         try:
-            validate(instructions, entry=entry_offset, roots=roots)
-        except ValidationError as exc:
+            if _faults.wants("x86.decoder"):
+                for insn in iter_decode(code, 0, len(code)):
+                    _faults.fault_hook("x86.decoder", error=DecodeError)
+                    instructions.append(insn)
+            else:
+                instructions.extend(iter_decode(code, 0, len(code)))
+        except DecodeError as exc:
+            n_bytes = instructions[-1].end if instructions else 0
+            self._fill_buffer(len(instructions), n_bytes)
             raise RejectionError(
-                f"NaCl constraint violated: {exc}", stage="disasm"
+                f"disassembly failed: {exc}", stage="disasm"
             ) from exc
+        return StreamScan.from_instructions(code, instructions)
 
-        return DisassemblyResult(
-            image=image,
-            instructions=instructions,
-            symtab=symtab,
-            text_vaddr=text.vaddr,
-            buffer_pages_allocated=buffer_pages,
-        )
-
-    def _build_symtab(self, image: ElfImage, text, instructions):
-        """Symbol hash table + reachability roots (shared by both paths)."""
-        code = text.data
-        symtab = SymbolHashTable(self.meter)
-        roots = []
-        if image.function_symbols():
-            for sym in image.function_symbols():
-                offset = sym.value - text.vaddr
-                if not 0 <= offset < len(code):
-                    raise RejectionError(
-                        f"symbol {sym.name!r} lies outside the text section",
-                        stage="disasm",
-                    )
-                symtab.insert(offset, sym.name)
-                roots.append(offset)
+    def _fill_buffer(self, n: int, n_bytes: int) -> int:
+        """Replay the decode loop's observable effects for *n* records of
+        *n_bytes* in total: the buffer-growth trampolines (one-page
+        requests, in order) and the batched decode charges.  Returns the
+        pages requested."""
+        if self.per_insn_malloc:
+            pages = n
         else:
-            # Stripped-binary extension: recover function starts
-            # structurally (paper section 6's "future enhancement").
-            from .funcid import recognize_functions
-
-            entry_off = image.entry - text.vaddr
-            recognized = recognize_functions(instructions, entry=entry_off)
-            for offset, name in recognized.synthetic_names().items():
-                symtab.insert(offset, name)
-                roots.append(offset)
-        return symtab, roots
+            pages = -(-n * INSN_RECORD_BYTES // PAGE_SIZE)
+        for _ in range(pages):
+            self._alloc_pages(1)
+        self.meter.charge_batch({
+            "decode_byte": n_bytes,
+            "decode_insn": n,
+            "buffer_store": n,
+        })
+        return pages
 
     def _disassemble_from_scan(
         self, image: ElfImage, scan: StreamScan
     ) -> DisassemblyResult:
-        """Adopt a verified streamed scan instead of re-decoding.
+        """Fill the buffer from *scan* and validate over its artifacts.
 
-        The decode already happened while the content streamed in, so this
-        replays its *observable* effects exactly: the same buffer-growth
-        trampoline sequence (all one-page requests, in order), the same
-        batched decode charges, and the fast validator over the prescan
-        artifacts — whose check order and error strings match the
-        reference validator byte for byte.
+        The fast validator reads the prescan's offset index, bundle
+        offender and branch/terminator indices; its check order and error
+        strings match the reference validator byte for byte.
         """
-        meter = self.meter
         text = image.text_sections[0]
         instructions = scan.instructions
-        n = len(instructions)
-        if self.per_insn_malloc:
-            buffer_pages = n
-            for _ in range(n):
-                self._alloc_pages(1)
-        else:
-            buffer_pages = -(-n * INSN_RECORD_BYTES // PAGE_SIZE)
-            for _ in range(buffer_pages):
-                self._alloc_pages(1)
-        meter.charge_batch({
-            "decode_byte": scan.n_bytes,
-            "decode_insn": n,
-            "buffer_store": n,
-        })
+        buffer_pages = self._fill_buffer(len(instructions), scan.n_bytes)
 
-        symtab, roots = self._build_symtab(image, text, instructions)
+        symtab, roots = self._build_symtab(image, text)
 
         entry_offset = image.entry - text.vaddr
         try:
@@ -275,58 +277,46 @@ class Disassembler:
             scan=scan,
         )
 
-    # ------------------------------------------------------- decode loops
+    def _build_symtab(self, image: ElfImage, text):
+        """Symbol hash table + reachability roots (shared by both paths)."""
+        symtab = SymbolHashTable(self.meter)
+        roots = []
+        for sym in image.function_symbols():
+            offset = sym.value - text.vaddr
+            if not 0 <= offset < len(text.data):
+                raise RejectionError(
+                    f"symbol {sym.name!r} lies outside the text section",
+                    stage="disasm",
+                )
+            symtab.insert(offset, sym.name)
+            roots.append(offset)
+        return symtab, roots
 
-    def _decode_fast(self, code: bytes) -> tuple[list[Instruction], int]:
-        """Hot decode loop: resumable-cursor decoding, batched charges.
+    # ------------------------------------------------- reference path
 
-        Meter counts are accumulated in locals and flushed with one
-        :meth:`CycleMeter.charge_batch` call per stage — including on the
-        rejection path, so a binary that fails mid-stream still charges
-        exactly what the per-instruction reference loop would have charged
-        for the instructions completed before the failure.
-        """
-        instructions: list[Instruction] = []
-        append = instructions.append
-        alloc = self._alloc_pages
-        per_insn = self.per_insn_malloc
-        buffer_bytes_used = 0
-        buffer_pages = 0
-        n_bytes = 0
-        # Hot path: the per-instruction fault hook only exists when a plan
-        # actually watches the decoder — zero overhead otherwise.
-        hooked = _faults.wants("x86.decoder")
+    def disassemble(self, image: ElfImage) -> DisassemblyResult:
+        """The frozen reference stage: decode the text one instruction at
+        a time, then check the NaCl constraints in separate passes."""
+        text = self._text_section(image)
+        instructions, buffer_pages = self._decode_reference(text.data)
+
+        symtab, roots = self._build_symtab(image, text)
+
+        entry_offset = image.entry - text.vaddr
         try:
-            for insn in iter_decode(code, 0, len(code)):
-                if hooked:
-                    _faults.fault_hook("x86.decoder", error=DecodeError)
-                n_bytes += insn.length
-                # Dynamic buffer bookkeeping: allocate via the trampoline
-                # page-at-a-time (or per record, for the ablation).
-                if per_insn:
-                    alloc(1)
-                    buffer_pages += 1
-                else:
-                    buffer_bytes_used += INSN_RECORD_BYTES
-                    if buffer_bytes_used > buffer_pages * PAGE_SIZE:
-                        alloc(1)
-                        buffer_pages += 1
-                append(insn)
-        except DecodeError as exc:
-            self.meter.charge_batch({
-                "decode_byte": n_bytes,
-                "decode_insn": len(instructions),
-                "buffer_store": len(instructions),
-            })
+            validate(instructions, entry=entry_offset, roots=roots)
+        except ValidationError as exc:
             raise RejectionError(
-                f"disassembly failed: {exc}", stage="disasm"
+                f"NaCl constraint violated: {exc}", stage="disasm"
             ) from exc
-        self.meter.charge_batch({
-            "decode_byte": n_bytes,
-            "decode_insn": len(instructions),
-            "buffer_store": len(instructions),
-        })
-        return instructions, buffer_pages
+
+        return DisassemblyResult(
+            image=image,
+            instructions=instructions,
+            symtab=symtab,
+            text_vaddr=text.vaddr,
+            buffer_pages_allocated=buffer_pages,
+        )
 
     def _decode_reference(self, code: bytes) -> tuple[list[Instruction], int]:
         """Frozen pre-optimization loop (differential oracle / baseline)."""
@@ -361,33 +351,3 @@ class Disassembler:
                 f"disassembly failed: {exc}", stage="disasm"
             ) from exc
         return instructions, buffer_pages
-
-    def run(self, raw: bytes) -> DisassemblyResult:
-        """Full stage: parse, page-split check, disassemble, validate."""
-        image = self.parse_elf(raw)
-        self.check_page_separation(image)
-        return self.disassemble(image)
-
-    def run_streamed(self, raw: bytes, scan: StreamScan | None) -> DisassemblyResult:
-        """:meth:`run` reusing a speculative streamed *scan* when safe.
-
-        The scan was produced against bytes decrypted straight off the
-        channel, before the exact ELF parse; it is only adopted when the
-        parsed image has exactly one text section whose bytes equal what
-        the scan decoded and the scan completed without error.  Everything
-        else — decode errors (their message and charge sequence must be
-        bit-exact), multi-section images, header/extent mismatches, fault
-        plans watching the decoder — falls back to :meth:`disassemble`.
-        """
-        image = self.parse_elf(raw)
-        self.check_page_separation(image)
-        if (
-            scan is not None
-            and scan.error is None
-            and self.optimized
-            and not _faults.wants("x86.decoder")
-            and len(image.text_sections) == 1
-            and image.text_sections[0].data == scan.code
-        ):
-            return self._disassemble_from_scan(image, scan)
-        return self.disassemble(image)

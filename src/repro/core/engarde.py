@@ -77,10 +77,10 @@ class EnGarde:
         self.policies = policies
         self.meter = meter or CycleMeter()
         #: ``optimized=False`` runs the frozen pre-optimization hot path
-        #: (reference decoder, per-instruction charges, uncached policy
-        #: context) — the differential-testing oracle and benchmark
-        #: baseline.  Verdicts, reports, and meter totals are identical
-        #: either way; only wall-clock differs.
+        #: (reference decoder and validator, per-instruction charges,
+        #: uncached policy context) — the differential-testing oracle and
+        #: benchmark baseline.  Verdicts, reports, and meter totals are
+        #: identical either way; only wall-clock differs.
         self.optimized = optimized
         self.disassembler = Disassembler(
             self.meter, alloc_pages=alloc_pages,
@@ -99,17 +99,13 @@ class EnGarde:
         the loading stage against a real enclave.  *scan* is an optional
         speculative :class:`~repro.core.streaming.StreamScan` collected
         while the content was still arriving; the disassembler verifies it
-        against the exact parse and falls back to the whole-buffer decode
-        on any mismatch, so verdicts and meter totals are identical either
-        way.
+        against the exact parse and decodes the text itself on any
+        mismatch, so verdicts and meter totals are identical either way.
         """
         policy_names = self.policies.names()
         try:
             with self.meter.phase("disassembly"):
-                if scan is not None:
-                    disasm = self.disassembler.run_streamed(raw_elf, scan)
-                else:
-                    disasm = self.disassembler.run(raw_elf)
+                disasm = self.disassembler.run(raw_elf, scan)
         except RejectionError as exc:
             return InspectionOutcome(
                 report=ComplianceReport.rejected(

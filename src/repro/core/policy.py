@@ -16,11 +16,15 @@ from __future__ import annotations
 import abc
 import bisect
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..elf import ElfImage
 from ..errors import PolicyError
 from ..sgx.cpu import CycleMeter
 from ..x86 import Instruction
+
+if TYPE_CHECKING:
+    from .streaming import FunctionVerdictMemo
 
 __all__ = [
     "SymbolHashTable", "PolicyContext", "PolicyResult", "PolicyModule",
@@ -90,9 +94,10 @@ class PolicyContext:
     Offsets are *text-relative* throughout: instruction offsets, symbol
     addresses, and branch targets all use the same coordinate system.
 
-    With ``cached=True`` (the default) the context lazily computes shared
-    views of the instruction buffer — call-site lists, the sorted function
-    boundary table, per-function instruction extents — so the policy
+    With ``cached=True`` (the default) the context shares views of the
+    instruction buffer — the call-site lists the disassembler's prescan
+    collected (*call_sites*), and the lazily computed sorted function
+    boundary table and per-function instruction extents — so the policy
     modules stop re-scanning the whole buffer once each.  The caches are
     pure wall-clock memoization: every metered operation still charges the
     cycle meter exactly as the uncached walk does, and the views assume
@@ -107,20 +112,22 @@ class PolicyContext:
     meter: CycleMeter
     #: index of each instruction by its text-relative offset
     index_by_offset: dict[int, int] = field(default_factory=dict)
-    #: enable the shared lazily-computed views below
+    #: enable the shared views below
     cached: bool = True
+    #: (direct call instructions, indices of indirect call/jump sites),
+    #: both in buffer order; required when ``cached``
+    call_sites: tuple[list[Instruction], list[int]] | None = None
+    #: per-function verdict memo for delta re-inspection (carried by the
+    #: provisioning scan; policies that support it consult it)
+    delta: FunctionVerdictMemo | None = None
 
     def __post_init__(self) -> None:
         if not self.index_by_offset:
             self.index_by_offset = {
                 insn.offset: i for i, insn in enumerate(self.instructions)
             }
-        self._call_sites: tuple[list[Instruction], list[int]] | None = None
         self._starts_view: list[tuple[int, str]] | None = None
         self._extents: dict[int, tuple[int, int]] = {}
-        #: per-function verdict memo for delta re-inspection (set by the
-        #: streamed pipeline; policies that support it consult it)
-        self.delta = None
 
     def at(self, offset: int) -> Instruction | None:
         idx = self.index_by_offset.get(offset)
@@ -143,17 +150,13 @@ class PolicyContext:
         """Direct call instructions, in buffer order (shared prescan)."""
         if not self.cached:
             return self._scan_call_sites()[0]
-        if self._call_sites is None:
-            self._call_sites = self._scan_call_sites()
-        return self._call_sites[0]
+        return self.call_sites[0]
 
     def indirect_calls(self) -> list[int]:
         """Indices of indirect call/jump sites, in buffer order."""
         if not self.cached:
             return self._scan_call_sites()[1]
-        if self._call_sites is None:
-            self._call_sites = self._scan_call_sites()
-        return self._call_sites[1]
+        return self.call_sites[1]
 
     def function_extent(self, start: int) -> tuple[int, int]:
         """(first, last+1) instruction indices of the function at *start*.

@@ -244,7 +244,7 @@ class StreamingPipeline:
         """The completed scan, or None when the pipeline had to give up.
 
         A scan carrying a decode ``error`` is still returned: the
-        disassembler re-runs the phased decode on it so the rejection's
+        disassembler decodes the text again itself, so the rejection's
         error text and charge sequence are bit-exact — only the happy path
         skips work.
         """

@@ -54,9 +54,6 @@ EXTRA_COMPONENTS: dict[str, list[str]] = {
     "Runtime execution extension (interpreter)": [
         "x86/interp.py", "core/runtime.py",
     ],
-    "Stripped-binary extension (function recognition)": [
-        "core/funcid.py",
-    ],
     "ELF64 reader/writer": [
         "elf/constants.py", "elf/structs.py", "elf/reader.py", "elf/writer.py",
     ],

@@ -143,7 +143,7 @@ class InspectionClient:
         try:
             if hasattr(sock, "settimeout"):
                 sock.settimeout(self.timeout)
-            info = self._roundtrip(sock, proto.T_HELLO, b"",
+            info = self._roundtrip(sock, proto.encode_message(proto.T_HELLO),
                                    expect=proto.T_HELLO_OK)
             hello = _parse_json(info, "HELLO_OK")
             self._check_hello(hello)
@@ -180,8 +180,10 @@ class InspectionClient:
 
     def _attest(self, sock, hello: dict):
         challenge = self.rng.generate(16)
-        body = self._roundtrip(sock, proto.T_ATTEST, challenge,
-                               expect=proto.T_ATTEST_OK)
+        body = self._roundtrip(
+            sock, proto.encode_message(proto.T_ATTEST, challenge),
+            expect=proto.T_ATTEST_OK,
+        )
         quote = proto.quote_from_bytes(body)
         try:
             geometry = hello["geometry"]
@@ -203,10 +205,11 @@ class InspectionClient:
         )
         return quote
 
-    def _roundtrip(self, link, mtype: int, body: bytes, *, expect: int) -> bytes:
-        """One request/response over *link*: the plaintext socket, or the
-        secure channel once :meth:`open` has established it."""
-        link.send(proto.encode_message(mtype, body))
+    def _roundtrip(self, link, message: bytes, *, expect: int) -> bytes:
+        """Send the encoded request *message* over *link* (the plaintext
+        socket, or the secure channel once :meth:`open` has established
+        it) and return the body of the expected response."""
+        link.send(message)
         rtype, rbody = proto.decode_message(link.recv())
         if rtype == proto.T_ERROR:
             raise RemoteError(*proto.decode_error(rbody))
@@ -259,8 +262,19 @@ class InspectionClient:
         injectable clock.  A daemon-side typed error (inspection crash,
         quarantine) is returned as a typed error verdict; transport and
         channel-integrity failures trigger a full reconnect (fresh
-        attestation) before the retry.
+        attestation) before the retry.  A submission the protocol cannot
+        carry (a label over 65,535 bytes, a body over ``MAX_BODY``) would
+        fail the same way on every attempt, so it gets a typed error
+        verdict with no attempt and no connection.
         """
+        try:
+            submit = proto.encode_message(
+                proto.T_SUBMIT, proto.encode_submit(label, raw_elf)
+            )
+        except ProtocolError as exc:
+            return ClientVerdict(
+                label=label, error=f"ProtocolError: {exc}", attempts=0
+            )
         budget = (
             self.resilience.max_retransmits + 1 if self.resilience else 1
         )
@@ -274,9 +288,7 @@ class InspectionClient:
             try:
                 self.open()
                 body = self._roundtrip(
-                    self._channel, proto.T_SUBMIT,
-                    proto.encode_submit(label, raw_elf),
-                    expect=proto.T_VERDICT,
+                    self._channel, submit, expect=proto.T_VERDICT
                 )
                 source, wire = proto.decode_verdict(body)
                 report = ComplianceReport.deserialize(wire)
@@ -312,13 +324,17 @@ class InspectionClient:
     def _probe(self, mtype: int, expect: int) -> dict:
         what = proto.MESSAGE_TYPES[expect]
         if self._channel is not None:
-            body = self._roundtrip(self._channel, mtype, b"", expect=expect)
+            body = self._roundtrip(
+                self._channel, proto.encode_message(mtype), expect=expect
+            )
             return _parse_json(body, what)
         sock = self._connect()
         try:
             if hasattr(sock, "settimeout"):
                 sock.settimeout(self.timeout)
-            body = self._roundtrip(sock, mtype, b"", expect=expect)
+            body = self._roundtrip(
+                sock, proto.encode_message(mtype), expect=expect
+            )
             try:
                 sock.send(proto.encode_message(proto.T_BYE))
                 proto.decode_message(sock.recv())

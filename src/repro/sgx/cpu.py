@@ -131,13 +131,12 @@ class CycleMeter:
         in a plain local dict and flush once per stage instead of paying
         three attribute/dict round trips per instruction.  Zero counts are
         skipped so the per-event breakdown stays byte-identical to
-        per-occurrence charging (no spurious zero-count keys).
+        per-occurrence charging (no spurious zero-count keys, and no
+        phase entry from a batch of zeros).
         """
         cost = self.cost
         total = self.total
         phase = None
-        if self._stack:
-            phase = self.phases.setdefault(self._stack[-1], PhaseBreakdown())
         charged = 0
         for event, count in counts.items():
             if not count:
@@ -147,6 +146,8 @@ class CycleMeter:
                 raise KeyError(f"unknown cost event {event!r}")
             cycles = weight * count
             total.add(event, count, cycles)
+            if phase is None and self._stack:
+                phase = self.phases.setdefault(self._stack[-1], PhaseBreakdown())
             if phase is not None:
                 phase.add(event, count, cycles)
             charged += cycles

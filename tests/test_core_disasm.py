@@ -139,7 +139,19 @@ class TestCycleCharging:
 class TestTextSectionArity:
     """The one-text-section check must run before any indexing (PR 3
     reordered it so multi-/zero-text images reject with stage="disasm"
-    instead of depending on parse order)."""
+    instead of depending on parse order), on the reference path
+    (``disassemble``) and on the front end (``run``) alike."""
+
+    @staticmethod
+    def _assert_rejected(disassembler, image):
+        with pytest.raises(RejectionError) as excinfo:
+            disassembler.disassemble(image)
+        assert excinfo.value.stage == "disasm"
+        # run() parses raw bytes; hand it the crafted image instead.
+        disassembler.parse_elf = lambda raw: image
+        with pytest.raises(RejectionError) as excinfo:
+            disassembler.run(b"")
+        assert excinfo.value.stage == "disasm"
 
     def test_multi_text_image_rejects_with_disasm_stage(self, disassembler):
         import dataclasses
@@ -154,9 +166,7 @@ class TestTextSectionArity:
             image, sections=image.sections + [clone]
         )
         assert len(multi.text_sections) == 2
-        with pytest.raises(RejectionError) as excinfo:
-            disassembler.disassemble(multi)
-        assert excinfo.value.stage == "disasm"
+        self._assert_rejected(disassembler, multi)
 
     def test_textless_image_rejects_instead_of_crashing(self, disassembler):
         import dataclasses
@@ -169,6 +179,4 @@ class TestTextSectionArity:
         )
         assert not textless.text_sections
         # Indexing text_sections[0] first would raise IndexError here.
-        with pytest.raises(RejectionError) as excinfo:
-            disassembler.disassemble(textless)
-        assert excinfo.value.stage == "disasm"
+        self._assert_rejected(disassembler, textless)

@@ -157,7 +157,7 @@ class TestStaticTextPages:
             text_vaddr=0,
             buffer_pages_allocated=0,
         )
-        engarde.disassembler.run = lambda raw: result
+        engarde.disassembler.run = lambda raw, scan=None: result
         return engarde
 
     def test_inspect_rejects_instead_of_crashing_on_textless_image(self):

@@ -255,6 +255,28 @@ class TestSdkVerification:
         # attestation failures must not burn the retry budget
         assert verdict.attempts == 1
 
+    def test_unencodable_submit_fails_without_connecting(
+        self, daemon, all_policies, corpus
+    ):
+        from repro.service import InspectionClient
+
+        client = InspectionClient(
+            all_policies, daemon.pool.quoting_enclave.device_public_key,
+            daemon.connect_inproc, timeout=5.0,
+            resilience=ResilienceConfig(
+                max_retransmits=3, backoff_base=0.0, clock=FakeClock()
+            ),
+        )
+        _, raw = corpus[0]
+        verdict = client.inspect(raw, "x" * 70_000)
+        assert verdict.report is None
+        assert verdict.error.startswith("ProtocolError:")
+        assert "label exceeds" in verdict.error
+        # retrying cannot shrink the label: no connection, no attestation
+        assert verdict.attempts == 0
+        assert daemon.metrics.get("connections.opened") == 0
+        assert daemon.metrics.get("requests.ATTEST") == 0
+
     def test_policy_digest_mismatch_fails_closed(self, daemon, libc, corpus):
         from repro.core import PolicyRegistry
         from repro.harness.runner import make_policy

@@ -161,6 +161,10 @@ def test_charge_batch_matches_per_occurrence_charging():
     assert batched.phases == severally.phases
     # Zero-count events must not materialise spurious keys.
     assert "policy_compare" not in batched.total.events
+    # Nor may a batch of zeros open a phase entry.
+    with batched.phase("policy"):
+        batched.charge_batch({"policy_compare": 0})
+    assert "policy" not in batched.phases
 
 
 def test_charge_batch_rejects_unknown_event():
