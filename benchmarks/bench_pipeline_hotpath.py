@@ -7,6 +7,11 @@ Not a paper figure — this measures the PR-3 single-binary hot path:
   frozen ``repro.x86.refdecode`` oracle, with every decode's result held
   (as the provider's delta index holds them), and the GC-tracked objects
   each decoded instruction keeps alive,
+* the length pass (``repro.x86.length_pass``, which builds every scan)
+  vs the full decode in insns/sec, timed in the same run, its columns
+  checked against those ``decode_all``'s records imply, and the heap a
+  held scan keeps per text byte before and after the policies decode the
+  records they read,
 * end-to-end ``EnGarde.inspect`` throughput (inspections/sec) of the
   optimized pipeline (``optimized=True``) vs the reference pipeline
   (``optimized=False``: per-instruction decode + charges, uncached
@@ -20,7 +25,7 @@ Every workload and every corpus variant is also run through the
 tick-identical ``CycleMeter`` totals (overall and per phase, including
 per-event counts) to the reference.  Any divergence fails the benchmark —
 the meter is the paper's figure source, so optimizations may only change
-wall-clock.
+wall-clock.  So does any column mismatch of the length pass.
 
 Results land in ``BENCH_pipeline.json`` (uploaded as a CI artifact).
 
@@ -39,6 +44,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -52,11 +58,13 @@ from repro.core import (
     PolicyRegistry,
     StackProtectionPolicy,
 )
+from repro.core.streaming import StreamScan
 from repro.elf import read_elf
 from repro.sgx.cpu import CycleMeter
 from repro.service import generate_variant_corpus
 from repro.toolchain import build_libc
 from repro.toolchain.workloads import build_workload
+from repro.x86 import length_pass
 from repro.x86.decoder import decode_all
 from repro.x86.refdecode import ref_decode_all
 
@@ -198,6 +206,92 @@ def bench_decode(binary, *, repeats: int) -> dict:
     }
 
 
+_BRANCH_KINDS = {"callq": (2, 4), "jmpq": (3, 5)}  # (direct, indirect)
+
+
+def _kind(insn) -> int:
+    """The length pass's kind code for a decoded record."""
+    if insn.mnemonic in _BRANCH_KINDS:
+        return _BRANCH_KINDS[insn.mnemonic][insn.target is None]
+    if insn.target is not None:
+        return 1
+    if insn.mnemonic in ("ret", "ud2", "hlt"):
+        return 6
+    return 7 if insn.mnemonic in ("nop", "nopl") else 0
+
+
+def column_mismatches(code: bytes, records) -> list[str]:
+    """Where the length pass's columns differ from those *records* (the
+    full decode of *code*) imply."""
+    cols = length_pass(code)
+    expected = {
+        "offsets": [r.offset for r in records],
+        "kinds": bytes(_kind(r) for r in records),
+        "targets": [r.target for r in records if r.target is not None],
+        "bundles": [i for i, r in enumerate(records)
+                    if r.offset // 32 != (r.end - 1) // 32],
+        "end": records[-1].end if records else 0,
+    }
+    got = {"offsets": list(cols.offsets), "kinds": bytes(cols.kinds),
+           "targets": cols.targets, "bundles": cols.bundles, "end": cols.end}
+    return [name for name in expected if got[name] != expected[name]]
+
+
+def _held_scan_bytes(libc, blob: bytes, code: bytes) -> tuple[int, int]:
+    """Heap a scan of *code* keeps: right after the length pass, and
+    after the policies ran over it (the records they read decoded)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scan = StreamScan(code, length_pass(code))
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0] - base
+        engarde = EnGarde(_build_policies(libc))
+        disasm = engarde.disassembler.run(blob, scan)
+        assert disasm.scan is scan
+        ctx = disasm.policy_context(engarde.meter)
+        for module in engarde.policies:
+            module.check(ctx)
+        del engarde, disasm, ctx
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    del scan
+    return before, after
+
+
+def bench_length_pass(libc, binary, *, repeats: int) -> dict:
+    """The length pass against the full decode, in the same run."""
+    code = bytes(read_elf(binary.elf).text_sections[0].data)
+    records = decode_all(code)
+    insns = len(records)
+    length_rate = _best_rate(lambda: length_pass(code), insns,
+                             repeats=repeats)
+    decode_rate = _best_rate(lambda: decode_all(code), insns,
+                             repeats=repeats)
+    before, after = _held_scan_bytes(libc, binary.elf, code)
+    engarde = EnGarde(_build_policies(libc))
+    disasm = engarde.disassembler.run(binary.elf)
+    ctx = disasm.policy_context(engarde.meter)
+    for module in engarde.policies:
+        module.check(ctx)
+    read = sum(r is not None for r in disasm.instructions.decoded())
+    return {
+        "insns": insns,
+        "length_pass_insns_per_sec": round(length_rate),
+        "full_decode_insns_per_sec": round(decode_rate),
+        "speedup": round(length_rate / decode_rate, 2),
+        "records_read_share": round(read / insns, 3),
+        "held_scan_bytes_per_text_byte": {
+            "before_policies": round(before / len(code), 1),
+            "after_policies": round(after / len(code), 1),
+        },
+        "column_mismatches": column_mismatches(code, records),
+    }
+
+
 def bench_inspect(libc, binary, label: str, *, repeats: int) -> dict:
     blob = binary.elf
 
@@ -261,6 +355,10 @@ def run_benchmark(*, quick: bool, scale: float) -> dict:
         "workload": binaries[-1][0],
         **bench_decode(binaries[-1][1], repeats=repeats),
     }
+    result["length_pass"] = {
+        "workload": binaries[-1][0],
+        **bench_length_pass(libc, binaries[-1][1], repeats=repeats),
+    }
 
     for name, binary in binaries:
         result["inspect"].append(
@@ -292,6 +390,19 @@ def render_table(result: dict) -> str:
     rows.append(
         f"{'  tracked objects / insn':<26} {objects['optimized']:>14.3f} "
         f"{objects['reference']:>14.3f}"
+    )
+    lp = result["length_pass"]
+    rows.append(
+        f"{'length pass vs decode/s':<26} "
+        f"{lp['length_pass_insns_per_sec']:>14,} "
+        f"{lp['full_decode_insns_per_sec']:>14,} {lp['speedup']:>7.2f}x"
+    )
+    held = lp["held_scan_bytes_per_text_byte"]
+    rows.append(
+        f"  held scan B/text byte: {held['before_policies']} before, "
+        f"{held['after_policies']} after the policies "
+        f"({lp['records_read_share']:.1%} of records read); "
+        f"column mismatches: {lp['column_mismatches'] or 'none'}"
     )
     for cell in result["inspect"]:
         rows.append(
@@ -329,6 +440,9 @@ def test_pipeline_hotpath():
     assert result["differential"]["divergences"] == 0, (
         result["differential"]["failures"]
     )
+    assert result["length_pass"]["column_mismatches"] == [], (
+        result["length_pass"]
+    )
     # The PR's acceptance bar: >=2x end-to-end inspect throughput on the
     # largest workload, with the differential check green.
     assert result["inspect"][-1]["speedup"] >= 2.0, result["inspect"][-1]
@@ -361,11 +475,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"(wrote {args.output}; {time.time() - t0:.0f}s wall)")
 
     diff = result["differential"]
-    if diff["divergences"]:
-        for failure in diff["failures"]:
-            print(f"DIVERGENCE: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    mismatches = result["length_pass"]["column_mismatches"]
+    for failure in diff["failures"]:
+        print(f"DIVERGENCE: {failure}", file=sys.stderr)
+    for column in mismatches:
+        print(f"LENGTH-PASS COLUMN MISMATCH: {column}", file=sys.stderr)
+    return 1 if diff["divergences"] or mismatches else 0
 
 
 if __name__ == "__main__":

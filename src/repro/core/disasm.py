@@ -12,7 +12,11 @@ Follows the paper's pipeline (sections 3-4):
    instruction with a small ring buffer, EnGarde keeps every instruction
    for the policy modules; buffer memory is requested from the host a page
    at a time because each ``malloc`` trampoline costs an enclave
-   exit/re-entry (two SGX instructions),
+   exit/re-entry (two SGX instructions).  The meter charges the whole
+   buffer, one decode and one store per instruction, while the records
+   themselves are built on demand: a length pass finds every
+   instruction's boundaries, kind and target, and a record is decoded the
+   first time a policy reads it,
 4. enforce the NaCl structural constraints (32-byte bundles, valid branch
    targets, reachability),
 5. read the symbol table into the symbol hash table (address -> name),
@@ -24,6 +28,7 @@ the "Disassembly" column of Figures 3-5.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..elf import ElfImage, read_elf
@@ -31,7 +36,14 @@ from ..errors import DecodeError, ElfError, RejectionError, ValidationError
 from ..faults import hooks as _faults
 from ..sgx.cpu import CycleMeter
 from ..sgx.params import PAGE_SIZE
-from ..x86 import Instruction, iter_decode, validate, validate_fast
+from ..x86 import (
+    Instruction,
+    decode_error,
+    iter_decode,
+    length_pass,
+    validate,
+    validate_fast,
+)
 from ..x86.refdecode import ref_decode_one
 from .policy import PolicyContext, SymbolHashTable
 from .streaming import StreamScan
@@ -48,12 +60,14 @@ class DisassemblyResult:
     """Output of the stage, consumed by the policy engine and the loader."""
 
     image: ElfImage
-    instructions: list[Instruction]
+    #: the instruction buffer: a list on the reference path, the scan's
+    #: lazily decoded :class:`~repro.x86.InstructionBuffer` otherwise
+    instructions: Sequence[Instruction]
     symtab: SymbolHashTable
     text_vaddr: int
     #: pages of instruction-buffer memory requested from the host
     buffer_pages_allocated: int
-    #: prescan artifacts the buffer was validated with (None on the
+    #: the columnar scan the buffer was validated with (None on the
     #: ``optimized=False`` reference path)
     scan: StreamScan | None = None
 
@@ -68,9 +82,9 @@ class DisassemblyResult:
                 meter=meter,
                 cached=False,
             )
-        # Seed the context with the prescan's byproducts: the offset index
-        # and call-site views were collected with the decode, so the
-        # policy stage starts warm.
+        # Seed the context with the scan's columns: the offset index and
+        # the call-site views come from the length pass, so the policy
+        # stage decodes only the records it reads.
         scan = self.scan
         return PolicyContext(
             instructions=self.instructions,
@@ -78,7 +92,7 @@ class DisassemblyResult:
             image=self.image,
             meter=meter,
             index_by_offset=scan.by_offset,
-            call_sites=(scan.direct_calls, scan.indirect_idx),
+            call_sites=(scan.direct_calls(), scan.columns.indirect_idx),
             delta=scan.delta,
         )
 
@@ -92,9 +106,9 @@ class Disassembler:
     paper optimised away — one trampoline per instruction record instead
     of one per page — for the ablation benchmark.
 
-    *optimized* selects the front end: the default decodes the text with
-    the resumable-cursor decoder, prescans it once and validates over the
-    prescan artifacts (:meth:`run`); ``optimized=False`` runs the frozen
+    *optimized* selects the front end: the default runs the length pass
+    over the text and validates over its columns, decoding records only
+    where they are read (:meth:`run`); ``optimized=False`` runs the frozen
     pre-optimization stage (per-instruction ``ref_decode_one`` + three
     per-instruction ``charge`` calls, then the reference ``validate``
     passes) for differential testing and baseline benchmarks.  Both
@@ -172,8 +186,8 @@ class Disassembler:
         collected while the content streamed in (or spliced from the
         previous version's).  It is adopted only when it completed without
         a decode error, no fault plan watches the decoder, and the bytes
-        it decoded equal the exactly-parsed text section.  Otherwise the
-        text is decoded and prescanned here (:meth:`_decode`).  Either way
+        it scanned equal the exactly-parsed text section.  Otherwise the
+        text is scanned here (:meth:`_decode`).  Either way
         the stage ends in :meth:`_disassemble_from_scan`, so the adopted
         and the fresh scan give the same verdict, trampoline sequence and
         meter totals.
@@ -197,27 +211,40 @@ class Disassembler:
     run_streamed = run
 
     def _decode(self, code: bytes) -> StreamScan:
-        """Decode *code* into the instruction buffer, then prescan it.
+        """Scan *code* with the length pass into a :class:`StreamScan`.
 
-        A decode error replays the buffer growth and charges of the
-        instructions completed before it — what the per-instruction
-        reference loop charges — and rejects.
+        Where the pass refuses an instruction, the full decoder gives the
+        exact error, the buffer growth and charges of the instructions
+        completed before it are replayed -- what the per-instruction
+        reference loop charges -- and the binary is rejected.  Under a
+        fault plan watching ``x86.decoder`` the full decoder runs first,
+        one instruction at a time, so the plan fires where it would.
         """
-        instructions: list[Instruction] = []
-        try:
-            if _faults.wants("x86.decoder"):
+        records = None
+        if _faults.wants("x86.decoder"):
+            records = []
+            try:
                 for insn in iter_decode(code, 0, len(code)):
                     _faults.fault_hook("x86.decoder", error=DecodeError)
-                    instructions.append(insn)
-            else:
-                instructions.extend(iter_decode(code, 0, len(code)))
-        except DecodeError as exc:
-            n_bytes = instructions[-1].end if instructions else 0
-            self._fill_buffer(len(instructions), n_bytes)
-            raise RejectionError(
-                f"disassembly failed: {exc}", stage="disasm"
-            ) from exc
-        return StreamScan.from_instructions(code, instructions)
+                    records.append(insn)
+            except DecodeError as exc:
+                self._reject(
+                    len(records), records[-1].end if records else 0, exc
+                )
+        columns = length_pass(code)
+        if columns.end != len(code):
+            self._reject(
+                len(columns), columns.end,
+                decode_error(code, columns.end),
+            )
+        return StreamScan(code, columns, records)
+
+    def _reject(self, n: int, n_bytes: int, exc: DecodeError):
+        """Charge the *n* instructions decoded before *exc*, then reject."""
+        self._fill_buffer(n, n_bytes)
+        raise RejectionError(
+            f"disassembly failed: {exc}", stage="disasm"
+        ) from exc
 
     def _fill_buffer(self, n: int, n_bytes: int) -> int:
         """Replay the decode loop's observable effects for *n* records of
@@ -240,11 +267,11 @@ class Disassembler:
     def _disassemble_from_scan(
         self, image: ElfImage, scan: StreamScan
     ) -> DisassemblyResult:
-        """Fill the buffer from *scan* and validate over its artifacts.
+        """Fill the buffer from *scan* and validate over its columns.
 
-        The fast validator reads the prescan's offset index, bundle
-        offender and branch/terminator indices; its check order and error
-        strings match the reference validator byte for byte.
+        The fast validator reads the offsets, kinds, targets and first
+        bundle offender; its check order and error strings match the
+        reference validator byte for byte.
         """
         text = image.text_sections[0]
         instructions = scan.instructions
@@ -255,13 +282,7 @@ class Disassembler:
         entry_offset = image.entry - text.vaddr
         try:
             validate_fast(
-                instructions,
-                entry=entry_offset,
-                roots=roots,
-                by_offset=scan.by_offset,
-                bundle_violation=scan.bundle_violation,
-                branch_idx=scan.branch_idx,
-                term_idx=scan.term_idx,
+                scan.columns, instructions, entry=entry_offset, roots=roots,
             )
         except ValidationError as exc:
             raise RejectionError(

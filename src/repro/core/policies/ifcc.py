@@ -117,29 +117,30 @@ class IfccPolicy(PolicyModule):
     def _check_call_site(
         self, ctx: PolicyContext, idx: int, table_range: tuple[int, int]
     ) -> bool:
-        """Walk backward over add/and/sub/lea verifying register dataflow."""
-        ok, steps = _walk_call_site(
-            ctx.instructions, idx, table_range, self.backward_window
-        )
+        """Walk backward over add/and/sub/lea verifying register dataflow.
+
+        Reads (and so decodes) only the call and the *backward_window*
+        instructions before it."""
+        window = ctx.instructions[max(idx - self.backward_window, 0):idx + 1]
+        ok, steps = _walk_call_site(window, table_range)
         if steps:
             ctx.meter.charge("policy_compare", steps)
         return ok
 
 
 def _walk_call_site(
-    instructions: list[Instruction],
-    idx: int,
+    window: list[Instruction],
     table_range: tuple[int, int],
-    backward_window: int,
 ) -> tuple[bool, int]:
     """The IFCC backward dataflow walk, meter-free.
 
-    Returns ``(protected, steps)`` where *steps* is the number of
-    backward comparisons the walk performed — the caller charges
-    ``policy_compare`` with it (one charge per call site, whichever way
-    the walk exits).
+    *window* ends with the call and holds the instructions the walk may
+    step back over before it.  Returns ``(protected, steps)`` where
+    *steps* is the number of backward comparisons the walk performed —
+    the caller charges ``policy_compare`` with it (one charge per call
+    site, whichever way the walk exits).
     """
-    call = instructions[idx]
+    call = window[-1]
     target = call.operands[0] if call.operands else None
     if not isinstance(target, Reg):
         return False, 0  # memory-indirect calls are never IFCC-emitted
@@ -152,9 +153,8 @@ def _walk_call_site(
     # One comparison per backward step; counted and returned whichever
     # way the walk exits.
     steps = 0
-    for back in range(idx - 1, max(idx - 1 - backward_window, -1), -1):
+    for insn in reversed(window[:-1]):
         steps += 1
-        insn = instructions[back]
         if insn.mnemonic in ("nop", "nopl"):
             continue
         if state == "add":

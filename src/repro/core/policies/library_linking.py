@@ -124,12 +124,13 @@ class LibraryLinkingPolicy(PolicyModule):
         extra symtab_lookup on top of the per-instruction probes).
         """
         meter = ctx.meter
+        text = ctx.image.text_sections[0].data
         first = ctx.index_by_offset[start]
         end_offset = ctx.symtab.next_function_start(start)
-        instructions = ctx.instructions
         if end_offset is None:
-            last = len(instructions)
-            end_byte = instructions[-1].end
+            # the validated buffer covers the text exactly
+            last = len(ctx.instructions)
+            end_byte = len(text)
         else:
             last = ctx.index_by_offset[end_offset]
             end_byte = end_offset
@@ -139,6 +140,5 @@ class LibraryLinkingPolicy(PolicyModule):
         nbytes = end_byte - start
         blocks = (nbytes + 63) // 64 + 1  # +1 finalise
         meter.charge("sha256_block", blocks)
-        text = ctx.image.text_sections[0].data
         digest = sha256_fast(text[start:end_byte])
         return digest, 1 + max(last - first, 1), blocks

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import abc
 import bisect
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -95,8 +96,8 @@ class PolicyContext:
     addresses, and branch targets all use the same coordinate system.
 
     With ``cached=True`` (the default) the context shares views of the
-    instruction buffer — the call-site lists the disassembler's prescan
-    collected (*call_sites*), and the lazily computed sorted function
+    instruction buffer — the call-site lists the disassembler's length
+    pass collected (*call_sites*), and the lazily computed sorted function
     boundary table and per-function instruction extents — so the policy
     modules stop re-scanning the whole buffer once each.  The caches are
     pure wall-clock memoization: every metered operation still charges the
@@ -106,12 +107,13 @@ class PolicyContext:
     call and is used by the differential reference path.
     """
 
-    instructions: list[Instruction]
+    instructions: Sequence[Instruction]
     symtab: SymbolHashTable
     image: ElfImage
     meter: CycleMeter
-    #: index of each instruction by its text-relative offset
-    index_by_offset: dict[int, int] = field(default_factory=dict)
+    #: index of each instruction by its text-relative offset (a dict, or
+    #: the scan's :class:`~repro.x86.OffsetIndex` over its offsets column)
+    index_by_offset: Mapping[int, int] = field(default_factory=dict)
     #: enable the shared views below
     cached: bool = True
     #: (direct call instructions, indices of indirect call/jump sites),
@@ -133,7 +135,7 @@ class PolicyContext:
         idx = self.index_by_offset.get(offset)
         return self.instructions[idx] if idx is not None else None
 
-    # ------------------------------------------------- shared prescan views
+    # ---------------------------------------------------- shared scan views
 
     def _scan_call_sites(self) -> tuple[list[Instruction], list[int]]:
         """One pass over the buffer collecting both call-site views."""
@@ -147,7 +149,7 @@ class PolicyContext:
         return direct, indirect
 
     def direct_calls(self) -> list[Instruction]:
-        """Direct call instructions, in buffer order (shared prescan)."""
+        """Direct call instructions, in buffer order (shared scan view)."""
         if not self.cached:
             return self._scan_call_sites()[0]
         return self.call_sites[0]

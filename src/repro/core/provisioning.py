@@ -18,8 +18,8 @@ Actors:
   in-enclave EnGarde session; returns everything the harness reports.
 
 The provider decrypts each record in place into one buffer sized to the
-announced content and decodes the text while records arrive
-(:class:`~repro.core.streaming.StreamingPipeline`); a re-provisioned
+announced content and runs the length pass over the text while records
+arrive (:class:`~repro.core.streaming.StreamingPipeline`); a re-provisioned
 binary under a known label re-pays inspection only for the functions it
 changed (:func:`~repro.core.streaming.delta_scan`).
 """
@@ -329,10 +329,10 @@ class CloudProvider:
         its delta-index entry, or None on the label's first sighting.
 
         A first sighting only records the label, as an empty
-        :class:`DeltaIndex`, so a label provisioned once leaves no decoded
-        records behind.  The second sighting decodes in full and populates
-        the entry; the third and later splice from it, or decode in full
-        and re-populate it when they cannot splice (a resized text, say).
+        :class:`DeltaIndex`, so a label provisioned once leaves no scan
+        behind.  The second sighting scans in full and populates the
+        entry; the third and later splice from it, or scan in full and
+        re-populate it when they cannot splice (a resized text, say).
         The index keeps the ``_delta_index_cap`` most recently sighted
         labels.
         """
@@ -350,7 +350,7 @@ class CloudProvider:
         """Refresh the benchmark's delta index from a *verified* scan.
 
         Only a scan that carried the label's memo (a repeat sighting, see
-        :meth:`_sight_label`) populates the entry, and only from tokens
+        :meth:`_sight_label`) populates the entry, and only from a scan
         the disassembler actually adopted (``disasm.scan is scan`` — the
         speculative scan survived the exact-parse cross-check).  A
         policy-rejected binary does populate it; a disasm-stage rejection
@@ -402,19 +402,19 @@ class CloudProvider:
 
         Records decrypt straight into one preallocated buffer
         (:meth:`SecureChannel.recv_into` — no per-record copies), and a
-        :class:`StreamingPipeline` speculatively decodes and prescans the
-        text section as its bytes land, so disassembly overlaps the
+        :class:`StreamingPipeline` speculatively runs the length pass over
+        the text section as its bytes land, so disassembly overlaps the
         channel drain.  When the benchmark label's delta entry is
-        populated (its third provisioning on), decode-during-receive is
-        skipped and the scan is spliced from the indexed one, re-decoding
+        populated (its third provisioning on), the pass during receive is
+        skipped and the scan is spliced from the indexed one, scanning
         only the function extents whose digest changed
         (:func:`delta_scan`).  When no splice is possible (a resized or
-        undecodable update), the drained buffer is decoded in full, so
+        undecodable update), the drained buffer is scanned in full, so
         the entry can be re-indexed from that scan.  On a repeat sighting
         the scan carries the label's function-verdict memo; on a first
         sighting it carries none.  Either way the scan is
         *speculative*: the disassembler re-verifies it against the exact
-        parse and falls back to its whole-buffer decode on any mismatch,
+        parse and falls back to its whole-buffer pass on any mismatch,
         so the verdict, wire bytes, and meter totals never depend on it.
 
         Returns ``(raw_bytes, scan_or_None)``.
@@ -444,7 +444,7 @@ class CloudProvider:
         prev = index if index is not None and index.populated else None
         # Seeded decoder faults must hit the real decode stage, not the
         # speculative one, so the pipeline stands down and the
-        # disassembler's whole-buffer decode (with its fault hooks) runs.
+        # disassembler's per-instruction decode (with its fault hooks) runs.
         want_decode = not _faults.wants("x86.decoder")
         pipeline = StreamingPipeline(buf, decode=want_decode and prev is None)
         received = 0
@@ -463,7 +463,7 @@ class CloudProvider:
                 if text is not None:
                     scan = delta_scan(prev, text)
                 if scan is None:
-                    # no splice (a resized text, say): decode in full, so
+                    # no splice (a resized text, say): scan in full, so
                     # the adopted scan can re-index the label
                     pipeline = StreamingPipeline(buf)
                     pipeline.advance(total)
@@ -589,7 +589,7 @@ class EnclaveClient:
         ]
         self.channel.send(_CONTENT_HEADER.pack(len(self.binary), len(records)))
         # Emit each record the moment it is encrypted: the provider's
-        # pipeline starts decoding while later records are still being
+        # pipeline starts scanning while later records are still being
         # sealed.  Each warmed keystream lands in the process-wide memo,
         # where the provider's decrypt of the same record finds it.
         for record in records:

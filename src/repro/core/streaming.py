@@ -1,4 +1,4 @@
-"""Streaming provisioning: overlapped decode/prescan + delta re-inspection.
+"""Streaming provisioning: overlapped length pass + delta re-inspection.
 
 Two pieces the streamed receive path composes:
 
@@ -6,40 +6,44 @@ Two pieces the streamed receive path composes:
   record lands, it speculatively locates the text segment from the ELF and
   program headers (the writer places ``.text`` early and the symbol table
   at the end of the file, so code arrives long before symbols) and drives
-  a :class:`~repro.x86.StreamDecoder` plus a fused prescan over every
-  instruction the moment its bytes are available.  By the time the channel
-  drains, decode and the prescan artifacts the validator and the policy
-  context need (offset index, branch/terminator indices, call-site lists)
-  are already done.  The pipeline is *speculative and fail-safe*: the
+  a :class:`~repro.x86.StreamDecoder` -- the resumable length pass -- over
+  every instruction the moment its bytes are available.  By the time the
+  channel drains, the columns the validator and the policy context need
+  (instruction offsets, kinds, branch targets, bundle offenders) are
+  already done.  The pipeline is *speculative and fail-safe*: the
   disassembler verifies the scanned bytes against the exactly-parsed image
-  and falls back to its whole-buffer decode on any mismatch or decode
-  error.
+  and falls back to its whole-buffer pass on any mismatch or decode error.
 
 * Delta re-inspection — :class:`DeltaIndex` remembering the previous
   version's adopted scan and one SHA-256 digest per function extent of
-  its text, :func:`delta_scan` re-decoding only the extents whose digest
-  changed and splicing the others from the indexed tokens (when every
-  dirty extent keeps its instruction count, the prescan artifacts are
-  patched from the indexed ones too; otherwise the prescan runs again
-  over the splice), and :class:`FunctionVerdictMemo` caching
-  per-function stack-protection verdicts keyed by the function's bytes
-  (plus every byte the original check read outside them).  An updated binary re-pays decode and the
-  super-linear policy scan only for the functions that changed, while the
-  wire transcript, MRENCLAVE, verdict bytes, and meter totals stay exactly
-  those of a cold run.
+  its text, :func:`delta_scan` running the length pass again only over
+  the extents whose digest changed and splicing the others' columns (and
+  the records already decoded in them) from the indexed scan, and
+  :class:`FunctionVerdictMemo` caching per-function stack-protection
+  verdicts keyed by the function's bytes (plus every byte the original
+  check read outside them).  An updated binary re-pays the length pass
+  and the super-linear policy scan only for the functions that changed,
+  while the wire transcript, MRENCLAVE, verdict bytes, and meter totals
+  stay exactly those of a cold run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from ..elf.constants import ELF_MAGIC, PF_X, PT_LOAD
 from ..errors import DecodeError
-from ..x86 import BUNDLE_SIZE, Instruction, StreamDecoder, iter_decode
+from ..x86 import (
+    Columns,
+    InstructionBuffer,
+    Instruction,
+    OffsetIndex,
+    StreamDecoder,
+    length_pass,
+)
 
 __all__ = [
     "StreamScan",
@@ -54,86 +58,67 @@ __all__ = [
 _EHDR = struct.Struct("<16sHHIQQQIHHHHHH")
 _PHDR = struct.Struct("<IIQQQQQQ")
 
-_TERMINATORS = frozenset(("ret", "retq", "jmp", "jmpq", "ud2", "hlt"))
-
-
 # --------------------------------------------------------------------------
-# Streamed decode + fused prescan
+# Columnar scan + streamed length pass
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class StreamScan:
-    """Artifacts of one streamed (or delta-spliced) decode of a text blob.
+    """The columnar scan of one text blob (streamed, decoded in one pass
+    or delta-spliced): the length pass's :class:`~repro.x86.Columns` and
+    the instruction buffer over them.
 
-    ``code`` is the byte slice the scan decoded; the disassembler only
+    ``code`` is the byte slice the scan covers; the disassembler only
     trusts the scan after verifying ``code`` equals the text section of
-    the exactly-parsed image.  ``bundle_violation`` is *recorded*, never
-    raised, during decode — decode errors must keep precedence exactly as
-    in the phased order, so the fast validator raises it in the
-    check-bundles position instead.
+    the exactly-parsed image.  ``instructions`` decodes a record the
+    first time something reads it (*records* may hand over records
+    already decoded, ``None`` elsewhere); ``by_offset`` maps an
+    instruction start to its index.  ``error`` is the decode error a
+    streamed scan stopped at, and ``delta`` the per-function verdict memo
+    the provider threads into the policy context (None outside
+    delta-capable provisioning).
     """
 
-    code: bytes
-    instructions: list[Instruction]
-    by_offset: dict[int, int]
-    branch_idx: list[int]
-    term_idx: list[int]
-    direct_calls: list[Instruction]
-    indirect_idx: list[int]
-    bundle_violation: tuple[int, str, int] | None
-    n_bytes: int
-    error: DecodeError | None = None
-    #: per-function verdict memo the provider threads into the policy
-    #: context (None outside delta-capable provisioning)
-    delta: "FunctionVerdictMemo | None" = None
+    def __init__(
+        self, code: bytes, columns: Columns, records: list | None = None
+    ) -> None:
+        self.code = code
+        self.columns = columns
+        self.instructions = InstructionBuffer(code, columns.offsets, records)
+        self.by_offset = OffsetIndex(columns.offsets)
+        self.error: DecodeError | None = None
+        self.delta: FunctionVerdictMemo | None = None
 
-    @classmethod
-    def from_instructions(
-        cls, code: bytes, instructions: list[Instruction]
-    ) -> "StreamScan":
-        """Rebuild every prescan artifact with one pass over a token list."""
-        scan = cls(
-            code=code, instructions=instructions, by_offset={},
-            branch_idx=[], term_idx=[], direct_calls=[], indirect_idx=[],
-            bundle_violation=None, n_bytes=0,
-        )
-        scan._prescan(instructions, 0)
-        return scan
+    @property
+    def n_bytes(self) -> int:
+        """Bytes the scanned instructions cover."""
+        return self.columns.end
 
-    def _prescan(self, insns: list[Instruction], first: int) -> None:
-        """Add the prescan artifacts of *insns*, the tokens at indices
-        ``first, first + 1, ...`` of :attr:`instructions`."""
-        by_offset = self.by_offset
-        branch_append = self.branch_idx.append
-        term_append = self.term_idx.append
-        direct_append = self.direct_calls.append
-        indirect_append = self.indirect_idx.append
-        n_bytes = self.n_bytes
-        bundle_violation = self.bundle_violation
-        for i, insn in enumerate(insns, first):
-            offset = insn.offset
-            end = offset + len(insn.raw)
-            by_offset[offset] = i
-            n_bytes += end - offset
-            if (bundle_violation is None
-                    and offset // BUNDLE_SIZE != (end - 1) // BUNDLE_SIZE):
-                bundle_violation = (offset, insn.mnemonic, end - offset)
-            mnemonic = insn.mnemonic
-            if insn.target is not None:
-                branch_append(i)
-                if mnemonic == "callq":
-                    direct_append(insn)
-            elif mnemonic in ("callq", "jmp", "jmpq"):
-                indirect_append(i)
-            if mnemonic in _TERMINATORS:
-                term_append(i)
-        self.n_bytes = n_bytes
-        self.bundle_violation = bundle_violation
+    def direct_calls(self) -> list[Instruction]:
+        """The direct-call records, in buffer order, built from the
+        columns without the decoder: a ``callq rel32`` decodes to exactly
+        ``(offset, raw, "callq", (), len(raw) - 5, 1, 0, 4, False,
+        target)``.  They also fill their slots of the buffer."""
+        cols = self.columns
+        offsets = cols.offsets
+        records = self.instructions.decoded()
+        calls = []
+        for i in cols.call_idx:
+            record = records[i]
+            if record is None:
+                start = offsets[i]
+                end = offsets[i + 1] if i + 1 < len(offsets) else cols.end
+                raw = self.code[start:end]
+                record = records[i] = Instruction(
+                    start, raw, "callq", (), len(raw) - 5, 1, 0, 4, False,
+                    end + int.from_bytes(raw[-4:], "little", signed=True),
+                )
+            calls.append(record)
+        return calls
 
 
 class StreamingPipeline:
-    """Incremental decode + prescan over the provisioning receive buffer.
+    """Incremental length pass over the provisioning receive buffer.
 
     The provider preallocates one buffer for the announced content size
     and decrypts each record in place; after every record it calls
@@ -157,9 +142,6 @@ class StreamingPipeline:
         self._fed = 0
         self._decode_done = False
         self._valid = 0
-        # fused prescan accumulators; ``code`` is filled in by finish()
-        self.instructions: list[Instruction] = []
-        self._scan = StreamScan.from_instructions(b"", self.instructions)
         self.error: DecodeError | None = None
 
     # ------------------------------------------------------------ headers
@@ -208,27 +190,16 @@ class StreamingPipeline:
             return
         start = self.text_off + self._fed
         avail_end = min(valid, self.text_off + self.text_size)
-        if avail_end > start:
-            self._fed = avail_end - self.text_off
-            try:
+        try:
+            if avail_end > start:
+                self._fed = avail_end - self.text_off
                 with memoryview(self._buf)[start:avail_end] as piece:
-                    insns = self._decoder.feed(piece)
-            except DecodeError as exc:
-                self.error = exc
-                return
-            self._consume(insns)
-        if self._fed == self.text_size:
-            try:
-                self._consume(self._decoder.finish())
-            except DecodeError as exc:
-                self.error = exc
-                return
-            self._decode_done = True
-
-    def _consume(self, insns: list[Instruction]) -> None:
-        first = len(self.instructions)
-        self.instructions.extend(insns)
-        self._scan._prescan(insns, first)
+                    self._decoder.feed(piece)
+            if self._fed == self.text_size:
+                self._decoder.finish()
+                self._decode_done = True
+        except DecodeError as exc:
+            self.error = exc
 
     # ------------------------------------------------------------ results
 
@@ -244,7 +215,7 @@ class StreamingPipeline:
         """The completed scan, or None when the pipeline had to give up.
 
         A scan carrying a decode ``error`` is still returned: the
-        disassembler decodes the text again itself, so the rejection's
+        disassembler scans the text again itself, so the rejection's
         error text and charge sequence are bit-exact — only the happy path
         skips work.
         """
@@ -252,8 +223,10 @@ class StreamingPipeline:
             return None
         if self.error is None and not self._decode_done:
             return None  # stream ended before the announced text did
-        scan = self._scan
-        scan.code = bytes(self._buf[self.text_off:self.text_off + self.text_size])
+        scan = StreamScan(
+            bytes(self._buf[self.text_off:self.text_off + self.text_size]),
+            self._decoder.columns,
+        )
         scan.error = self.error
         return scan
 
@@ -454,23 +427,22 @@ def build_delta_index(
 
 
 def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
-    """Splice the previous version's tokens with re-decoded dirty extents.
+    """Splice the previous version's columns with rescanned dirty extents.
 
-    An extent is dirty when its bytes no longer match the indexed digest.
-    Returns a :class:`StreamScan` equal to what a full decode of *text*
-    would produce, or None whenever that equality cannot be proven cheaply
-    (length change, a clean extent whose edges are not instruction starts
-    of the indexed decode, or a decode error in a dirty extent) — the
-    caller then decodes in full.
+    An extent is dirty when its bytes no longer match the indexed digest;
+    the length pass runs again over it alone.  A clean extent's columns
+    -- and the records already decoded in it -- are copied from the
+    indexed scan, its instruction indices shifted to their new place;
+    nothing in it is scanned or decoded again.  Every bundle offender is
+    in the columns, so the splice's are exact whether or not the indexed
+    scan's first one lay in a dirty extent.
 
-    The prescan artifacts are patched, not rebuilt, when every dirty
-    extent re-decodes to as many tokens as it held in the indexed scan
-    (both its edges instruction starts there) and the indexed
-    ``bundle_violation`` lies outside the dirty extents: every token then
-    keeps its index, so copies of the indexed artifacts change only
-    inside the dirty ranges (:func:`_patched`).  Otherwise the prescan
-    runs again over the whole splice.  The indexed scan is never
-    mutated: it stays the entry's scan when this one is not adopted.
+    Returns a :class:`StreamScan` equal to a full pass over *text*, or
+    None whenever that equality cannot be proven cheaply (length change,
+    a clean extent whose edges are not instruction starts of the indexed
+    scan, or a dirty extent the decoder would reject) — the caller then
+    scans in full.  The indexed scan is never mutated: it stays the
+    entry's scan when this one is not adopted.
     """
     indexed = prev.scan
     if indexed is None or len(text) != len(indexed.code):
@@ -478,98 +450,36 @@ def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
     if hashlib.sha256(text).digest() == prev.text_digest:
         # Identical bytes: the indexed scan IS this text's scan.
         return indexed
-    prev_insns = indexed.instructions
-    prev_by_offset = indexed.by_offset
+    old = indexed.columns
+    old_records = indexed.instructions.decoded()
+    index = indexed.by_offset
     n = len(text)
     sha = hashlib.sha256
-    spliced: list[Instruction] = []
-    # (start, end, first, last) of each dirty extent, its tokens at
-    # indices [first, last) of both scans; None once one changes count
-    dirty: list[tuple[int, int, int, int]] | None = []
+    out = Columns()
+    records: list = []
+    run: list[int] | None = None  # [first, last) of the pending clean run
+
+    def flush() -> None:
+        if run is not None:
+            out.extend_from(old, *run)
+            records.extend(old_records[run[0]:run[1]])
+
     for s, e, digest in prev.extents:
-        first = prev_by_offset.get(s)
-        last = prev_by_offset.get(e) if e < n else len(prev_insns)
-        if sha(text[s:e]).digest() != digest:
-            at = len(spliced)
-            try:
-                spliced.extend(iter_decode(text, s, e))
-            except DecodeError:
+        if sha(text[s:e]).digest() == digest:
+            first = index.get(s)
+            last = index.get(e) if e < n else len(old)
+            if first is None or last is None:
                 return None
-            if dirty is not None:
-                if first == at and last == len(spliced):
-                    dirty.append((s, e, first, last))
-                else:
-                    dirty = None
+            if run is None:
+                run = [first, last]
+            else:
+                run[1] = last  # extents are contiguous: first == run[1]
             continue
-        if first is None or last is None:
+        flush()
+        run = None
+        before = len(out)
+        if length_pass(text, s, e, out).end != e:
             return None
-        spliced.extend(prev_insns[first:last])
-    violation = indexed.bundle_violation
-    if dirty is None or (violation is not None and any(
-        s <= violation[0] < e for s, e, _, _ in dirty
-    )):
-        return StreamScan.from_instructions(text, spliced)
-    return _patched(indexed, text, spliced, dirty)
-
-
-def _patched(
-    indexed: StreamScan,
-    text: bytes,
-    spliced: list[Instruction],
-    dirty: list[tuple[int, int, int, int]],
-) -> StreamScan:
-    """*indexed*'s prescan artifacts with each dirty extent's replaced.
-
-    Every token of *spliced* sits at its indexed index, so an artifact
-    changes only inside the dirty ``[first, last)`` index ranges (the
-    ``[start, end)`` offset ranges for ``direct_calls``); the bundle
-    violation is the earlier of the indexed one, which lies in a clean
-    extent, and the first in a dirty extent.  ``n_bytes`` is the text
-    length on both sides.
-    """
-    fresh = StreamScan(text, [], {}, [], [], [], [], None, 0)  # dirty only
-    by_offset = dict(indexed.by_offset)
-    prev_insns = indexed.instructions
-    for _s, _e, first, last in dirty:
-        for insn in prev_insns[first:last]:
-            del by_offset[insn.offset]
-        fresh._prescan(spliced[first:last], first)
-    by_offset.update(fresh.by_offset)
-    violation = indexed.bundle_violation
-    if fresh.bundle_violation is not None and (
-        violation is None or fresh.bundle_violation[0] < violation[0]
-    ):
-        violation = fresh.bundle_violation
-    index_ranges = [(first, last) for _s, _e, first, last in dirty]
-    return StreamScan(
-        code=text,
-        instructions=spliced,
-        by_offset=by_offset,
-        branch_idx=_merge(indexed.branch_idx, fresh.branch_idx, index_ranges),
-        term_idx=_merge(indexed.term_idx, fresh.term_idx, index_ranges),
-        direct_calls=_merge(
-            indexed.direct_calls, fresh.direct_calls,
-            [(s, e) for s, e, _, _ in dirty], key=attrgetter("offset"),
-        ),
-        indirect_idx=_merge(
-            indexed.indirect_idx, fresh.indirect_idx, index_ranges
-        ),
-        bundle_violation=violation,
-        n_bytes=indexed.n_bytes,
-    )
-
-
-def _merge(old: list, new: list, ranges, key=None) -> list:
-    """*old* with its items in each of the sorted, disjoint ``[lo, hi)``
-    *ranges* replaced by those of the sorted *new*, all inside them."""
-    out: list = []
-    pos = npos = 0
-    for lo, hi in ranges:
-        i = bisect_left(old, lo, pos, key=key)
-        nj = bisect_left(new, hi, npos, key=key)
-        out += old[pos:i]
-        out += new[npos:nj]
-        pos = bisect_left(old, hi, i, key=key)
-        npos = nj
-    out += old[pos:]
-    return out
+        records.extend([None] * (len(out) - before))
+    flush()
+    return StreamScan(text, out, records)

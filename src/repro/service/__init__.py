@@ -33,7 +33,7 @@ from .batch import (
     Quarantine,
     default_workers,
 )
-from .cache import CacheStats, InspectionCache, cache_key
+from .cache import CacheStats, InspectionCache, cache_key, policy_digest
 from .client import (
     ClientVerdict,
     InspectionClient,
@@ -49,7 +49,7 @@ from .store import ZERO_STORE, TieredCache, VerdictStore
 __all__ = [
     "BatchInspector", "BatchItemResult", "BatchReport", "BatchSummary",
     "Quarantine", "default_workers",
-    "InspectionCache", "CacheStats", "cache_key",
+    "InspectionCache", "CacheStats", "cache_key", "policy_digest",
     "generate_variant_corpus", "VARIANT_KINDS",
     "InspectionDaemon", "InspectionClient", "ClientVerdict", "RemoteError",
     "device_key_from_announce",

@@ -66,7 +66,7 @@ from ..core.report import ComplianceReport
 from ..errors import WorkerCrashError
 from ..faults.clock import Clock, SystemClock
 from ..faults.hooks import DROP, fault_hook
-from .cache import CacheKey, InspectionCache, cache_key
+from .cache import CacheKey, InspectionCache, cache_key, policy_digest
 
 __all__ = [
     "BatchInspector", "BatchItemResult", "BatchReport", "BatchSummary",
@@ -333,6 +333,8 @@ class BatchInspector:
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive")
         self.policies = policies
+        #: the policy-set half of every cache key, computed once
+        self.policy_digest = policy_digest(policies)
         self.mode = mode
         self.timeout = timeout
         self.retries = retries
@@ -435,7 +437,7 @@ class BatchInspector:
                     error=f"expected bytes, got {type(raw).__name__}",
                 )
                 continue
-            key = cache_key(raw, self.policies)
+            key = cache_key(raw, self.policy_digest)
             keys[i] = key
             if self.cache is not None:
                 cached = self.cache.get(key, benchmark=label)

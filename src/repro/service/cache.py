@@ -33,18 +33,25 @@ from dataclasses import dataclass, replace
 from ..core.policy import PolicyRegistry
 from ..core.report import ComplianceReport
 
-__all__ = ["CacheStats", "InspectionCache", "cache_key"]
+__all__ = ["CacheStats", "InspectionCache", "cache_key", "policy_digest"]
 
 #: (content digest, policy-set digest) — both hex strings
 CacheKey = tuple[str, str]
 
 
-def cache_key(raw_elf: bytes, policies: PolicyRegistry) -> CacheKey:
-    """The content-addressed identity of one inspection request."""
-    return (
-        hashlib.sha256(raw_elf).hexdigest(),
-        hashlib.sha256(policies.digest_material()).hexdigest(),
-    )
+def policy_digest(policies: PolicyRegistry) -> str:
+    """The policy-set component of a cache key.  Hashing the registry's
+    digest material costs a SHA-256 pass over the golden hash database,
+    so a long-lived inspector computes it once."""
+    return hashlib.sha256(policies.digest_material()).hexdigest()
+
+
+def cache_key(raw_elf: bytes, policies: PolicyRegistry | str) -> CacheKey:
+    """The content-addressed identity of one inspection request;
+    *policies* is the registry or its :func:`policy_digest`."""
+    if not isinstance(policies, str):
+        policies = policy_digest(policies)
+    return hashlib.sha256(raw_elf).hexdigest(), policies
 
 
 @dataclass

@@ -44,7 +44,6 @@ the existing 12-hook vocabulary.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
@@ -63,7 +62,7 @@ from ..errors import (
 from ..net import QueueSocket, TcpListener, queue_pair
 from . import protocol as proto
 from .batch import BatchInspector, BatchItemResult
-from .cache import InspectionCache
+from .cache import InspectionCache, policy_digest
 from .metrics import DaemonMetrics
 from .pool import EnclavePool, PooledEnclave
 from .store import ZERO_STORE, TieredCache
@@ -148,9 +147,7 @@ class InspectionDaemon:
         )
         self.metrics = DaemonMetrics()
         self.metrics.touch(*_COUNTERS)
-        self.policy_digest = hashlib.sha256(
-            policies.digest_material()
-        ).hexdigest()
+        self.policy_digest = policy_digest(policies)
 
         self._accepting = False
         self._stopping = threading.Event()

@@ -8,13 +8,16 @@ policies to inspect — nothing in the pipeline operates on mocked bytes.
 
 from .asm import BUNDLE_SIZE, Assembler, ExternalFixup, Label
 from .decoder import (
+    InstructionBuffer,
     StreamDecoder,
     decode_all,
+    decode_error,
     decode_one,
     iter_decode,
 )
 from .encoder import Enc
 from .insn import Imm, Instruction, Mem, Operand
+from .lengths import Columns, OffsetIndex, length_pass
 from .registers import (
     EAX, EBP, EBX, ECX, EDI, EDX, ESI, ESP,
     R8, R8D, R9, R9D, R10, R10D, R11, R11D,
@@ -25,7 +28,6 @@ from .registers import (
 from .validator import (
     check_bundles,
     check_reachability,
-    check_reachability_fast,
     check_targets,
     validate,
     validate_fast,
@@ -34,8 +36,9 @@ from .validator import (
 __all__ = [
     "Assembler", "Label", "ExternalFixup", "BUNDLE_SIZE",
     "Enc",
-    "decode_one", "decode_all", "iter_decode",
-    "StreamDecoder",
+    "decode_one", "decode_all", "iter_decode", "decode_error",
+    "StreamDecoder", "InstructionBuffer",
+    "Columns", "OffsetIndex", "length_pass",
     "Instruction", "Mem", "Imm", "Operand",
     "Reg", "reg_name", "reg_by_name", "GPR64", "GPR32",
     "RAX", "RCX", "RDX", "RBX", "RSP", "RBP", "RSI", "RDI",
@@ -43,5 +46,5 @@ __all__ = [
     "EAX", "ECX", "EDX", "EBX", "ESP", "EBP", "ESI", "EDI",
     "R8D", "R9D", "R10D", "R11D", "R12D", "R13D", "R14D", "R15D",
     "validate", "validate_fast", "check_bundles", "check_targets",
-    "check_reachability", "check_reachability_fast",
+    "check_reachability",
 ]

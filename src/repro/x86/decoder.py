@@ -9,8 +9,13 @@ Unknown opcodes raise :class:`~repro.errors.DecodeError`; EnGarde converts
 that into a rejection of the client's binary, exactly as NaCl's validator
 rejects binaries it cannot disassemble unambiguously.
 
-This is the hot path of the whole inspection pipeline, so the decode loop
-is engineered accordingly:
+An inspection does not decode the whole text up front: the length pass
+(:mod:`repro.x86.lengths`, resumable as :class:`StreamDecoder`) finds the
+instruction boundaries, kinds and targets, and an
+:class:`InstructionBuffer` decodes a record the first time a policy reads
+it.  The full decoder also gives the exact error text where the length
+pass refuses (:func:`decode_error`).  Where it runs, the decode loop is
+engineered for speed:
 
 * opcode selection is a 256-entry handler dispatch table (plus a second
   table for the ``0F`` page) built once at import, not a sequential
@@ -27,7 +32,7 @@ is engineered accordingly:
   by value and size, and whole operand tuples by the instruction's raw
   bytes (which fully determine them).  A record then costs one tracked
   object, the tuple :func:`_build` makes in one C call, and the tables
-  die with the decode.
+  die with the decode (an :class:`InstructionBuffer`'s with the buffer).
 
 The pre-optimization decoder is preserved verbatim in
 :mod:`repro.x86.refdecode`; differential tests assert both produce
@@ -41,6 +46,7 @@ from collections.abc import Iterator
 
 from ..errors import DecodeError
 from .insn import Imm, Instruction, Mem
+from .lengths import _PAD, Columns, scan_into
 from .opcodes import (
     CC_BY_CODE,
     GROUP1,
@@ -54,8 +60,8 @@ from .opcodes import (
 from .registers import GPR32, GPR64, Reg
 
 __all__ = [
-    "decode_one", "decode_all", "iter_decode",
-    "StreamDecoder",
+    "decode_one", "decode_all", "iter_decode", "decode_error",
+    "StreamDecoder", "InstructionBuffer",
 ]
 
 _I8 = struct.Struct("<b").unpack_from
@@ -85,10 +91,11 @@ class _Cursor:
     re-slices or re-scans bytes it has already consumed.
 
     ``pos`` and ``start`` index ``code``, which begins at absolute offset
-    ``base`` of the region (non-zero only when :class:`StreamDecoder` has
-    dropped the bytes it finished with); offsets, branch targets and
-    error texts are absolute.  ``mems``, ``imms`` and ``operand_sets``
-    are the decode's interning tables.
+    ``base`` of the region (non-zero only when :func:`decode_error` reads
+    a :class:`StreamDecoder`'s buffer, which drops the bytes it finished
+    with); offsets, branch targets and error texts are absolute.
+    ``mems``, ``imms`` and ``operand_sets`` are the decode's interning
+    tables.
     """
 
     __slots__ = ("code", "pos", "start", "base", "rex", "seg", "wbits",
@@ -585,85 +592,163 @@ def decode_all(code: bytes, start: int = 0, end: int | None = None) -> list[Inst
     return list(iter_decode(code, start, end))
 
 
+def decode_error(code, pos: int, base: int = 0) -> DecodeError:
+    """The decoder's error for the instruction at *pos* that the length
+    pass refused (see :mod:`repro.x86.lengths`), the region ending with
+    *code*: exactly what :func:`iter_decode` raises there, with offsets
+    ``base`` past *code*'s.  Should the decoder accept it after all, the
+    refusal still stands, with a message saying so."""
+    cur = _Cursor(code, pos)
+    cur.base = base
+    try:
+        insn = _decode_next(cur)
+    except DecodeError as exc:
+        return exc
+    return DecodeError(f"length pass refused the instruction at {insn.offset:#x}")
+
+
 class StreamDecoder:
-    """Chunk-resumable linear decode over a byte stream.
+    """Chunk-resumable length pass over a byte stream.
 
-    Drives the same resumable :class:`_Cursor` as :func:`iter_decode`, but
-    over bytes that arrive as channel records.  ``feed`` decodes every
-    instruction that *provably* fits in the bytes received so far — the
-    cursor never starts an instruction unless a full ``_MAX_INSN``-byte
-    lookahead window is available, so a chunk boundary can never
-    manufacture a spurious truncation error.  ``finish`` drains the tail
-    once the last byte has been fed (the region ends there), applying the
-    same past-the-end check as :func:`iter_decode`.
+    Runs :func:`~repro.x86.lengths.scan_into` over bytes that arrive as
+    channel records, filling one :class:`~repro.x86.lengths.Columns`.
+    ``feed`` scans every instruction that *provably* fits in the bytes
+    received so far -- it never starts an instruction unless a full
+    ``_MAX_INSN``-byte lookahead window is available, so a chunk boundary
+    can never manufacture a spurious truncation error.  ``finish`` drains
+    the tail once the last byte has been fed (the region ends there),
+    applying the same past-the-end check as :func:`iter_decode`.
 
-    The cursor keeps only the bytes from the next undecoded instruction on
-    (fewer than ``_MAX_INSN`` of them after a feed) and advances its
-    ``base`` past the rest, so each fed byte is copied a bounded number of
-    times, not once per later chunk.
+    The decoder keeps only the bytes from the next unscanned instruction
+    on (fewer than ``_MAX_INSN`` of them after a feed), so each fed byte
+    is copied a bounded number of times, not once per later chunk.
 
-    The decoded token sequence (and any :class:`DecodeError`, message
-    included) is identical to a whole-buffer :func:`decode_all` of the
-    concatenated chunks; tests pin this at adversarial split points.
+    The columns (and any :class:`DecodeError`, message included) are
+    identical to a whole-buffer :func:`~repro.x86.lengths.length_pass` of
+    the concatenated chunks (and its decoder error); tests pin this at
+    every split point.
     """
 
-    __slots__ = ("_cur", "_finished")
+    __slots__ = ("columns", "_code", "_pos", "_base", "_finished")
 
-    def __init__(self, start: int = 0) -> None:
-        self._cur = _Cursor(b"", start)
+    def __init__(self) -> None:
+        self.columns = Columns()
+        self._code = b""
+        self._pos = 0    # next unscanned byte, relative to _code
+        self._base = 0   # absolute offset of _code[0]
         self._finished = False
 
     @property
     def pos(self) -> int:
-        """Offset of the next undecoded byte."""
-        return self._cur.base + self._cur.pos
+        """Offset of the next unscanned byte."""
+        return self._base + self._pos
 
     @property
     def buffered(self) -> int:
         """Total bytes fed so far."""
-        return self._cur.base + len(self._cur.code)
+        return self._base + len(self._code)
 
-    def feed(self, chunk) -> list[Instruction]:
-        """Absorb *chunk* (any bytes-like object), returning the newly
-        completed instructions."""
+    def feed(self, chunk) -> None:
+        """Absorb *chunk* (any bytes-like object) and scan every
+        instruction that fits with its lookahead."""
         if self._finished:
             raise ValueError("feed() after finish()")
-        cur = self._cur
         if chunk:
-            keep = min(cur.pos, len(cur.code))
-            cur.code = cur.code[keep:] + chunk
-            cur.base += keep
-            cur.pos -= keep
-        out: list[Instruction] = []
-        append = out.append
-        # Decode only while the architectural 15-byte lookahead is fully
-        # buffered: any error raised here would also be raised by the
-        # whole-buffer decode, and no truncation can be a chunking artifact.
-        safe = len(cur.code) - _MAX_INSN
-        while cur.pos <= safe:
-            append(_decode_next(cur))
-        return out
+            keep = self._pos
+            self._code = self._code[keep:] + chunk
+            self._base += keep
+            self._pos = 0
+        code = self._code
+        # Start instructions only while the architectural 15-byte
+        # lookahead is buffered: a refusal here is one the whole-buffer
+        # pass makes too, never a chunking artifact.
+        stop = len(code) - _MAX_INSN + 1
+        pos = scan_into(code, self._pos, stop, len(code), self._base,
+                        self.columns)
+        self._pos = pos
+        if pos < stop:
+            raise decode_error(code, pos, self._base)
 
-    def finish(self) -> list[Instruction]:
-        """Drain the remaining tail; the stream ends at the last byte fed.
-        Applies :func:`iter_decode`'s region-end check, then empties the
-        decode's interning tables."""
+    def finish(self) -> Columns:
+        """Scan the remaining tail (the stream ends at the last byte fed)
+        and return the completed columns."""
         self._finished = True
-        cur = self._cur
-        end = self.buffered
-        out: list[Instruction] = []
-        append = out.append
-        try:
-            while cur.base + cur.pos < end:
-                insn = _decode_next(cur)
-                if insn.end > end:
-                    raise DecodeError(
-                        f"instruction at {insn.offset:#x} extends past "
-                        f"region end {end:#x}"
-                    )
-                append(insn)
-        finally:
-            cur.mems.clear()
-            cur.imms.clear()
-            cur.operand_sets.clear()
-        return out
+        code = self._code
+        end = len(code)
+        pos = scan_into(code + _PAD, self._pos, end, end, self._base,
+                        self.columns)
+        self._pos = pos
+        if pos < end:
+            raise decode_error(code, pos, self._base)
+        return self.columns
+
+
+class InstructionBuffer:
+    """The paper's instruction buffer over one scan's offsets column.
+
+    A read-only sequence of :class:`Instruction` records, each decoded the
+    first time something reads it and kept from then on.  Missing records
+    are decoded in runs through one :class:`_Cursor` for the buffer's
+    lifetime, so the ``Mem``/``Imm``/operand interning holds across runs.
+    *records* may supply records already decoded (``None`` where not).
+    """
+
+    __slots__ = ("_code", "_offsets", "_records", "_cursor")
+
+    def __init__(self, code: bytes, offsets, records=None) -> None:
+        self._code = code
+        self._offsets = offsets
+        self._records = [None] * len(offsets) if records is None else records
+        self._cursor: _Cursor | None = None
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        records = self._records
+        if isinstance(index, slice):
+            part = records[index]
+            if None in part:
+                lo, hi, step = index.indices(len(records))
+                if step == 1:
+                    self._decode(lo, hi)
+                else:
+                    self._decode(0, len(records))
+                part = records[index]
+            return part
+        record = records[index]
+        if record is None:
+            if index < 0:
+                index += len(records)
+            self._decode(index, index + 1)
+            record = records[index]
+        return record
+
+    def __iter__(self):
+        records = self._records
+        if None in records:
+            self._decode(0, len(records))
+        return iter(records)
+
+    def decoded(self) -> list:
+        """The buffer's own record list: decoded records, ``None`` where
+        unread.  A caller may fill a slot only with the very record the
+        decoder would build there."""
+        return self._records
+
+    def _decode(self, lo: int, hi: int) -> None:
+        """Decode every missing record in ``[lo, hi)``."""
+        cur = self._cursor
+        if cur is None:
+            cur = self._cursor = _Cursor(self._code, 0)
+        records = self._records
+        offsets = self._offsets
+        i = lo
+        while i < hi:
+            if records[i] is not None:
+                i += 1
+                continue
+            cur.pos = offsets[i]
+            while i < hi and records[i] is None:
+                records[i] = _decode_next(cur)
+                i += 1

@@ -3,11 +3,12 @@
 Mirrors the metadata NaCl's disassembler attaches to each instruction (the
 paper, section 4 "Binary Disassembly": "the number of prefix bytes, number
 of opcode bytes and number of displacement bytes").  Policy modules consume
-these records from a buffer that outlives the decode (the provider's delta
-index keeps the last eight labels' decodes), so a record costs one
-GC-tracked object: :class:`Instruction` is a tuple whose fields are read
-by name, and the decoder shares equal operands (:class:`Mem`,
-:class:`Imm` and whole operand tuples) between the records of one decode.
+these records from a buffer that can outlive the inspection (a label's
+delta index, from its second provisioning on, holds its adopted scan with
+the records read so far), so a record costs one GC-tracked object:
+:class:`Instruction` is a tuple whose fields are read by name, and the
+decoder shares equal operands (:class:`Mem`, :class:`Imm` and whole
+operand tuples) between the records of one decode.
 """
 
 from __future__ import annotations

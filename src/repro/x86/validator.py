@@ -22,6 +22,7 @@ from collections.abc import Iterable
 from ..errors import ValidationError
 from .asm import BUNDLE_SIZE
 from .insn import Instruction
+from .lengths import K_NOP, Columns, OffsetIndex
 
 __all__ = [
     "validate",
@@ -29,7 +30,6 @@ __all__ = [
     "check_bundles",
     "check_targets",
     "check_reachability",
-    "check_reachability_fast",
 ]
 
 
@@ -118,66 +118,6 @@ def check_reachability(
         )
 
 
-def check_reachability_fast(
-    instructions: list[Instruction],
-    entry: int,
-    roots: Iterable[int],
-    by_offset: dict[int, int],
-    term_idx: list[int],
-    branch_idx: list[int],
-) -> None:
-    """Interval-based reachability, behaviourally identical to
-    :func:`check_reachability`.
-
-    Fall-through chains are contiguous index runs ending at the next
-    terminator, so instead of pushing successors one instruction at a time
-    the worklist marks whole ``[idx, next_terminator]`` spans with a single
-    ``bytearray`` slice-assign and enqueues only the branch targets inside
-    the span.  Requires the sorted index lists the streamed prescan
-    collects: *term_idx* (terminator instructions) and *branch_idx*
-    (instructions with a static target).  Error messages and the
-    first-offender ordering match the reference pass exactly.
-    """
-    n = len(instructions)
-    if entry not in by_offset and instructions:
-        raise ValidationError(f"entry point {entry:#x} is not an instruction start")
-
-    covered = bytearray(n)
-    stack = []
-    for origin in [entry, *roots]:
-        idx = by_offset.get(origin)
-        if idx is None:
-            raise ValidationError(f"root {origin:#x} is not an instruction start")
-        stack.append(idx)
-
-    nterm = len(term_idx)
-    nbranch = len(branch_idx)
-    while stack:
-        idx = stack.pop()
-        if idx >= n or covered[idx]:
-            continue
-        j = bisect_left(term_idx, idx)
-        span_end = term_idx[j] if j < nterm else n - 1
-        covered[idx:span_end + 1] = b"\x01" * (span_end + 1 - idx)
-        k = bisect_left(branch_idx, idx)
-        while k < nbranch and branch_idx[k] <= span_end:
-            tgt = by_offset.get(instructions[branch_idx[k]].target)
-            if tgt is not None and not covered[tgt]:
-                stack.append(tgt)
-            k += 1
-
-    if covered.count(0):
-        for idx, flag in enumerate(covered):
-            if flag:
-                continue
-            insn = instructions[idx]
-            if insn.mnemonic in ("nop", "nopl"):
-                continue  # dead alignment padding
-            raise ValidationError(
-                f"unreachable instruction at {insn.offset:#x} ({insn.mnemonic})"
-            )
-
-
 def validate(
     instructions: list[Instruction],
     *,
@@ -197,40 +137,82 @@ def validate(
 
 
 def validate_fast(
-    instructions: list[Instruction],
+    columns: Columns,
+    instructions,
     *,
     entry: int = 0,
     roots: Iterable[int] = (),
-    bundle_size: int = BUNDLE_SIZE,
-    by_offset: dict[int, int],
-    bundle_violation: tuple[int, str, int] | None,
-    branch_idx: list[int],
-    term_idx: list[int],
 ) -> None:
-    """:func:`validate` over prescan artifacts collected during streaming.
+    """:func:`validate` over the length pass's columns.
 
-    The streamed decode loop already walked every instruction once, so the
-    three constraint passes reuse its byproducts instead of rescanning:
-    the first bundle offender (recorded, not raised, during decode — decode
-    errors must keep precedence exactly as in the phased order), the sorted
-    branch/terminator index lists, and the offset->index map.  Check order
-    and every error message match :func:`validate`.
+    Reads the offsets, kind and target columns and the first bundle
+    offender the pass recorded (recorded, not raised, during the pass --
+    decode errors must keep precedence exactly as in the phased order).
+    *instructions* is the scan's buffer; a record is read from it only to
+    format an error.  Check order and every error message match
+    :func:`validate`.
+
+    Reachability marks whole fall-through runs at a time: from an index,
+    control falls through to the next terminator, so the worklist marks
+    ``[idx, next_terminator]`` with one ``bytearray`` slice-assign and
+    enqueues only the branch targets inside the span.
     """
-    if not instructions:
+    offsets = columns.offsets
+    n = len(offsets)
+    if not n:
         raise ValidationError("empty instruction stream")
-    if bundle_violation is not None:
-        offset, mnemonic, length = bundle_violation
+    if columns.bundles:
+        insn = instructions[columns.bundles[0]]
         raise ValidationError(
-            f"instruction at {offset:#x} ({mnemonic}, "
-            f"{length} bytes) overlaps a {bundle_size}-byte boundary"
+            f"instruction at {insn.offset:#x} ({insn.mnemonic}, "
+            f"{insn.length} bytes) overlaps a {BUNDLE_SIZE}-byte boundary"
         )
-    for i in branch_idx:
-        insn = instructions[i]
-        if insn.target not in by_offset:
+    branch_idx = columns.branch_idx
+    target_idx = []
+    for k, target in enumerate(columns.targets):
+        i = bisect_left(offsets, target)
+        if i == n or offsets[i] != target:
+            insn = instructions[branch_idx[k]]
             raise ValidationError(
                 f"{insn.mnemonic} at {insn.offset:#x} targets {insn.target:#x}, "
                 "which is not a valid instruction start"
             )
-    check_reachability_fast(
-        instructions, entry, roots, by_offset, term_idx, branch_idx
-    )
+        target_idx.append(i)
+
+    index = OffsetIndex(offsets)
+    if entry not in index:
+        raise ValidationError(f"entry point {entry:#x} is not an instruction start")
+    stack = []
+    for origin in [entry, *roots]:
+        idx = index.get(origin)
+        if idx is None:
+            raise ValidationError(f"root {origin:#x} is not an instruction start")
+        stack.append(idx)
+
+    term_idx = columns.term_idx
+    covered = bytearray(n)
+    nterm = len(term_idx)
+    nbranch = len(branch_idx)
+    while stack:
+        idx = stack.pop()
+        if covered[idx]:
+            continue
+        j = bisect_left(term_idx, idx)
+        span_end = term_idx[j] if j < nterm else n - 1
+        covered[idx:span_end + 1] = b"\x01" * (span_end + 1 - idx)
+        k = bisect_left(branch_idx, idx)
+        while k < nbranch and branch_idx[k] <= span_end:
+            tgt = target_idx[k]
+            if not covered[tgt]:
+                stack.append(tgt)
+            k += 1
+
+    kinds = columns.kinds
+    idx = covered.find(0)
+    while idx >= 0:
+        if kinds[idx] != K_NOP:  # dead alignment padding is exempt
+            insn = instructions[idx]
+            raise ValidationError(
+                f"unreachable instruction at {insn.offset:#x} ({insn.mnemonic})"
+            )
+        idx = covered.find(0, idx + 1)

@@ -1,45 +1,61 @@
 """The one inspection front end: ``Disassembler.run`` with or without a scan.
 
-Every optimized inspection decodes the text once, prescans it into a
-:class:`~repro.core.streaming.StreamScan` (or adopts the streamed one) and
-validates with ``validate_fast`` over the prescan artifacts.  These tests
-pin that front end against its independent definitions:
+Every optimized inspection runs the length pass over the text into a
+columnar :class:`~repro.core.streaming.StreamScan` (or adopts the streamed
+one), validates with ``validate_fast`` over its columns and decodes a
+record only where something reads it.  These tests pin that front end
+against its independent definitions:
 
-* the scan ``run`` builds equals a prescan of a plain ``decode_all``,
+* the scan ``run`` builds has the columns and the records of a plain
+  ``decode_all``,
+* inspections through the front end -- fresh, streamed or adopted --
+  give the frozen ``optimized=False`` oracle's report wire, meter phases,
+  buffer-growth trampoline sequence and ``PolicyResult.stats``,
 * a decode error (seeded truncations and garbles of compliant text, or
-  an injected ``x86.decoder`` fault) rejects with the same report, meter
-  phases and buffer-growth trampoline sequence as the frozen
-  ``optimized=False`` oracle,
-* ``validate_fast`` over prescan artifacts agrees with the reference
+  an injected ``x86.decoder`` fault) rejects with the oracle's report,
+  meter phases and trampoline sequence,
+* ``validate_fast`` over the columns agrees with the reference
   ``validate`` — outcome and message — on seeded byte-write mutants of
-  compliant text.
+  compliant text,
+* decoding is lazy: an inspection decodes no record of an exempt libc
+  function except where an IFCC window or a jump-table entry reaches it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from repro.core import Disassembler, EnGarde, IfccPolicy, PolicyRegistry
-from repro.core.streaming import StreamScan
+from repro.core import (
+    Disassembler,
+    EnGarde,
+    IfccPolicy,
+    LibraryLinkingPolicy,
+    PolicyRegistry,
+    StackProtectionPolicy,
+)
+from repro.core.streaming import StreamingPipeline, StreamScan
 from repro.elf import ElfSymbol, Layout, read_elf, write_elf
 from repro.errors import DecodeError, RejectionError, ValidationError
 from repro.faults.hooks import injected
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service import generate_variant_corpus
 from repro.sgx.cpu import CycleMeter
-from repro.x86 import decode_all, validate, validate_fast
+from repro.x86 import (
+    InstructionBuffer,
+    decode_all,
+    length_pass,
+    validate,
+    validate_fast,
+)
+from tests.test_x86_lengths import columns_of, view
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 GOLDEN_BINARIES = ("instrumented", "plain", "truncated", "garbage")
-#: every StreamScan field the validator or the policy context reads
-SCAN_ARTIFACTS = (
-    "code", "instructions", "by_offset", "branch_idx", "term_idx",
-    "direct_calls", "indirect_idx", "bundle_violation", "n_bytes",
-)
 
 
 def _golden(name: str) -> bytes:
@@ -107,16 +123,122 @@ def test_fresh_scan_equals_prescan_of_decode_all(front_end_corpus):
         except RejectionError:
             continue
         text = bytes(result.image.text_sections[0].data)
-        expected = StreamScan.from_instructions(text, decode_all(text))
-        for artifact in SCAN_ARTIFACTS:
-            assert getattr(result.scan, artifact) == getattr(
-                expected, artifact
-            ), (label, artifact)
-        assert result.instructions is result.scan.instructions
+        records = decode_all(text)
+        scan = result.scan
+        assert scan.code == text, label
+        assert view(scan.columns) == columns_of(records, len(text)), label
+        assert scan.direct_calls() == [r for r in records if r.is_direct_call]
+        assert list(scan.instructions) == records, label
+        assert result.instructions is scan.instructions
         compared += 1
     # both compliant golden texts and every built variant but the
     # truncated ones (two rotations: 4 truncated, 4 garbage)
     assert compared == 2 + 18 - 4
+
+
+# --------------------------------------------------------- oracle parity
+
+def _registry(libc) -> PolicyRegistry:
+    """The paper's three policies, libc functions exempt from the
+    stack-protection check (the benchmark's registry)."""
+    return PolicyRegistry([
+        LibraryLinkingPolicy(libc.reference_hashes()),
+        StackProtectionPolicy(exempt_functions=set(libc.offsets)),
+        IfccPolicy(),
+    ])
+
+
+def _streamed_scan(raw: bytes, record: int = 1000):
+    """The scan a streamed receive of *raw* in *record*-byte records
+    leaves (None where the pipeline gives up)."""
+    pipeline = StreamingPipeline(bytearray(raw))
+    for valid in range(record, len(raw) + record, record):
+        pipeline.advance(min(valid, len(raw)))
+    return pipeline.finish()
+
+
+def _observed(engarde: EnGarde, raw: bytes, calls: list, scan=None) -> tuple:
+    outcome = engarde.inspect(raw, benchmark="m", scan=scan)
+    return (
+        outcome.report.serialize(), engarde.meter.phases, calls,
+        [(r.policy, r.compliant, r.violations, r.stats)
+         for r in outcome.policy_results],
+    )
+
+
+def test_front_end_matches_the_oracle(front_end_corpus, libc):
+    """Report wire, meter phases, buffer-growth trampolines and every
+    PolicyResult: the oracle's, for a fresh and for a streamed scan."""
+    adopted = 0
+    for label, raw in front_end_corpus:
+        sides = []
+        for optimized, streamed in ((False, False), (True, False),
+                                    (True, True)):
+            calls: list = []
+            engarde = EnGarde(_registry(libc), CycleMeter(),
+                              alloc_pages=calls.append, optimized=optimized)
+            scan = _streamed_scan(raw) if streamed else None
+            sides.append(_observed(engarde, raw, calls, scan))
+            if scan is not None and scan.error is None:
+                adopted += 1
+        assert sides[1] == sides[0], label
+        assert sides[2] == sides[0], label
+    assert adopted >= 2 + 18 - 8, adopted
+
+
+# --------------------------------------------------------------- laziness
+
+#: ceiling on the share of a variant's records one inspection decodes
+#: (about 8-10% on this corpus: the client functions' bodies, the IFCC
+#: windows and the jump-table entries)
+DECODED_SHARE_CEILING = 0.2
+
+
+def test_inspection_decodes_only_what_the_policies_read(
+    front_end_corpus, libc, monkeypatch
+):
+    """No record of an exempt libc function is decoded, except inside an
+    IFCC window (the call and the 12 instructions before it) or at a
+    jump-table entry; and the decoded share stays under its ceiling."""
+    import repro.x86.decoder as decoder
+
+    decoded: list[int] = []
+    real = decoder._decode_next
+
+    def spy(cur):
+        decoded.append(cur.base + cur.pos)
+        return real(cur)
+
+    monkeypatch.setattr(decoder, "_decode_next", spy)
+    exempt = set(libc.offsets)
+    window = IfccPolicy().backward_window
+    total = read = checked = 0
+    for label, raw in front_end_corpus:
+        del decoded[:]
+        outcome = EnGarde(_registry(libc)).inspect(raw, benchmark=label)
+        disasm = outcome.disassembly
+        if disasm is None or disasm.scan is None:
+            continue
+        scan = disasm.scan
+        offsets = scan.columns.offsets
+        starts = sorted(disasm.symtab.items())
+        allowed = set()
+        for idx in scan.columns.indirect_idx:
+            allowed.update(offsets[max(idx - window, 0):idx + 1])
+        for addr, name in starts:
+            if name.startswith("__llvm_jump_instr_table_0_"):
+                allowed.update((addr, addr + 5))
+        bounds = [addr for addr, _name in starts]
+        for offset in decoded:
+            name = starts[bisect_right(bounds, offset) - 1][1]
+            if name in exempt:
+                assert offset in allowed, (label, name, hex(offset))
+        assert len(decoded) == len(set(decoded)), label  # each at most once
+        total += len(offsets)
+        read += len(decoded)
+        checked += 1
+    assert checked >= 2 + 18 - 4, checked
+    assert read / total <= DECODED_SHARE_CEILING, read / total
 
 
 # ------------------------------------------------------ decode-error parity
@@ -183,7 +305,7 @@ def test_decoder_fault_at_instruction_k_charges_k(k, with_scan):
     scan = None
     if with_scan:
         text = bytes(read_elf(blob).text_sections[0].data)
-        scan = StreamScan.from_instructions(text, decode_all(text))
+        scan = StreamScan(text, length_pass(text))
 
     def plan():
         return FaultPlan([FaultSpec("x86.decoder", "raise", after=k)])
@@ -229,8 +351,9 @@ def test_fast_validator_matches_reference_on_mutants():
         for _ in range(writes):
             at = rng.randrange(len(text))
             mutant[at] = rng.randrange(256)
+        mutant = bytes(mutant)
         try:
-            insns = decode_all(bytes(mutant))
+            insns = decode_all(mutant)
         except DecodeError:
             continue
         decodable += 1
@@ -239,14 +362,13 @@ def test_fast_validator_matches_reference_on_mutants():
             entry = rng.randrange(len(text))
         elif pick < 0.3:
             roots = [*roots, rng.randrange(len(text))]
-        scan = StreamScan.from_instructions(bytes(mutant), insns)
+        cols = length_pass(mutant)
         ref = _outcome(lambda: validate(insns, entry=entry, roots=roots))
         fast = _outcome(lambda: validate_fast(
-            insns, entry=entry, roots=roots, by_offset=scan.by_offset,
-            bundle_violation=scan.bundle_violation,
-            branch_idx=scan.branch_idx, term_idx=scan.term_idx,
+            cols, InstructionBuffer(mutant, cols.offsets),
+            entry=entry, roots=roots,
         ))
-        assert fast == ref, bytes(mutant).hex()
+        assert fast == ref, mutant.hex()
         counts[ref[0]] = counts.get(ref[0], 0) + 1
     # the seed gives 315 decodable mutants: 214 pass, 32 entry, 27 root,
     # 28 target, 10 bundle and 4 unreachable

@@ -27,6 +27,7 @@ from repro.service import (
     VARIANT_KINDS,
     BatchInspector,
     InspectionCache,
+    cache_key,
     default_workers,
     generate_variant_corpus,
 )
@@ -62,6 +63,38 @@ def _assert_identical(results, baseline, corpus):
         assert item.label == corpus[i][0]
         assert item.error is None, (item.label, item.error)
         assert item.report.serialize() == wire, item.label
+
+
+def test_policy_digest_is_computed_once_per_inspector(
+    corpus, all_policies, monkeypatch
+):
+    """The policy set's digest (a SHA-256 pass over the golden hash
+    database) is computed when the inspector is built, not per item; the
+    keys are still ``cache_key(raw, policies)``."""
+    digests = []
+    real_digest = PolicyRegistry.digest_material
+
+    def digest_spy(registry):
+        digests.append(registry)
+        return real_digest(registry)
+
+    keys = []
+    real_get = InspectionCache.get
+
+    def get_spy(cache, key, **kwargs):
+        keys.append(key)
+        return real_get(cache, key, **kwargs)
+
+    monkeypatch.setattr(PolicyRegistry, "digest_material", digest_spy)
+    monkeypatch.setattr(InspectionCache, "get", get_spy)
+    inspector = BatchInspector(all_policies, mode="serial")
+    assert len(digests) == 1
+    inspector.inspect_batch(corpus[:14])
+    inspector.inspect_batch(corpus[:20])
+    assert len(digests) == 1
+    monkeypatch.undo()
+    assert keys == [cache_key(raw, all_policies)
+                    for _label, raw in corpus[:14] + corpus[:20]]
 
 
 class TestDifferential:

@@ -2,10 +2,11 @@
 
 Four battle fronts, matching the streamed receive path's promises:
 
-* the chunk-resumable decode and the fused prescan are token-identical
-  to the whole-buffer phased decode at adversarial record boundaries;
-* a delta splice equals a full decode of the edited text, field by
-  field, and re-decodes only the function extents whose bytes changed;
+* the chunk-resumable length pass gives the columns and the records of
+  the whole-buffer decode at adversarial record boundaries;
+* a delta splice equals a full pass over the edited text, column by
+  column and record by record, runs the length pass again only over the
+  function extents whose bytes changed, and decodes no record;
 * delta re-inspection **fails closed** — a moved or changed function
   never reuses a stale verdict, and a swapped binary is re-inspected;
 * a delta re-inspection gives the verdict bytes and per-phase meter
@@ -48,8 +49,9 @@ from repro.crypto.rsa import generate_keypair
 from repro.elf import read_elf
 from repro.errors import DecodeError
 from repro.faults import FakeClock, FaultPlan, FaultSpec, injected
-from repro.x86 import BUNDLE_SIZE, decode_all, iter_decode
+from repro.x86 import BUNDLE_SIZE, decode_all, iter_decode, length_pass
 from tests.conftest import compile_demo, meter_breakdown, small_provider
+from tests.test_x86_lengths import columns_of, view
 
 
 def _blob(n: int, seed: bytes = b"streaming-test") -> bytes:
@@ -117,19 +119,17 @@ class TestStreamingPipeline:
         assert _tokens(scan.instructions) == oracle
 
     def test_prescan_artifacts_match_from_instructions(self, demo_instrumented):
+        """The streamed columns are those the decoded records imply, and
+        equal a whole-buffer length pass's."""
         raw = demo_instrumented.elf
-        text = read_elf(raw).text_sections[0]
         pipeline = self._drive(raw, range(0, len(raw), 97))
         scan = pipeline.finish()
         assert scan is not None
-        rebuilt = StreamScan.from_instructions(scan.code, scan.instructions)
-        assert scan.by_offset == rebuilt.by_offset
-        assert scan.branch_idx == rebuilt.branch_idx
-        assert scan.term_idx == rebuilt.term_idx
-        assert _tokens(scan.direct_calls) == _tokens(rebuilt.direct_calls)
-        assert scan.indirect_idx == rebuilt.indirect_idx
-        assert scan.bundle_violation == rebuilt.bundle_violation
-        assert scan.n_bytes == rebuilt.n_bytes
+        assert view(scan.columns) == columns_of(
+            decode_all(scan.code), len(scan.code)
+        )
+        assert view(scan.columns) == view(length_pass(scan.code))
+        assert scan.n_bytes == len(scan.code)
 
     def test_prescan_artifacts_match_the_record_classification(
         self, demo_instrumented
@@ -138,19 +138,21 @@ class TestStreamingPipeline:
         check its output against the records' own classification."""
         raw = demo_instrumented.elf
         scan = self._drive(raw, range(0, len(raw), 97)).finish()
-        insns = scan.instructions
+        cols = scan.columns
+        calls = scan.direct_calls()  # built from the columns, undecoded
+        insns = list(scan.instructions)
         indices = range(len(insns))
         assert scan.by_offset == {insn.offset: i for i, insn in enumerate(insns)}
-        assert scan.branch_idx == [i for i in indices if insns[i].target is not None]
-        assert scan.term_idx == [i for i in indices if insns[i].is_terminator]
-        assert scan.direct_calls == [i for i in insns if i.is_direct_call]
-        assert scan.indirect_idx == [
+        assert cols.branch_idx == [i for i in indices if insns[i].target is not None]
+        assert cols.term_idx == [i for i in indices if insns[i].is_terminator]
+        assert calls == [i for i in insns if i.is_direct_call]
+        assert cols.indirect_idx == [
             i for i in indices
             if insns[i].is_indirect_call or insns[i].is_indirect_jump
         ]
         assert scan.n_bytes == sum(insn.length for insn in insns) == len(scan.code)
-        assert scan.bundle_violation is None
-        assert len(scan.term_idx) > 0 and len(scan.direct_calls) > 0
+        assert cols.bundles == []
+        assert len(cols.term_idx) > 0 and len(calls) > 0
 
     def test_single_byte_records_near_headers(self, demo_instrumented):
         raw = demo_instrumented.elf
@@ -189,7 +191,7 @@ class TestStreamingPipeline:
         pipeline.advance(len(raw))
         assert pipeline.finish() is None
         assert pipeline.text_slice() == text.data
-        assert not pipeline.instructions
+        assert pipeline._decoder.pos == 0 and not len(pipeline._decoder.columns)
 
 
 # --------------------------------------------------------------------------
@@ -305,11 +307,13 @@ class TestFunctionVerdictMemoFailClosed:
 # --------------------------------------------------------------------------
 
 
-#: every artifact a scan hands the disassembler and the policy context
-SCAN_FIELDS = (
-    "instructions", "by_offset", "branch_idx", "term_idx", "direct_calls",
-    "indirect_idx", "bundle_violation", "n_bytes", "code",
-)
+def assert_scan_of(scan: StreamScan, text: bytes) -> None:
+    """*scan* is a full pass over *text*: its columns are those the
+    decoded records imply, and its buffer reads as those records."""
+    full = decode_all(text)
+    assert scan.code == text
+    assert view(scan.columns) == columns_of(full, len(text))
+    assert list(scan.instructions) == full
 
 
 def _demo_text(elf: bytes) -> tuple[bytes, list[int]]:
@@ -321,7 +325,7 @@ def _demo_text(elf: bytes) -> tuple[bytes, list[int]]:
 
 
 def _index_for(text: bytes, boundaries: list[int]) -> DeltaIndex:
-    scan = StreamScan.from_instructions(text, decode_all(text))
+    scan = StreamScan(text, length_pass(text))
     return build_delta_index(DeltaIndex(), scan, boundaries)
 
 
@@ -381,18 +385,22 @@ def _plant_bundle_violation(text: bytes, insns, after: int = 0):
 
 
 @pytest.fixture
-def prescans(monkeypatch) -> list:
-    """The texts ``StreamScan.from_instructions`` prescans, in call order
-    (the rebuild path of ``delta_scan`` makes one call; the patch none)."""
+def passes(monkeypatch) -> list:
+    """The ``(start, end)`` regions ``delta_scan`` runs the length pass
+    over, in call order."""
     calls = []
-    real = StreamScan.from_instructions.__func__
 
-    def spy(cls, code, instructions):
-        calls.append(code)
-        return real(cls, code, instructions)
+    def spy(code, start=0, end=None, into=None):
+        calls.append((start, end))
+        return length_pass(code, start, end, into)
 
-    monkeypatch.setattr(StreamScan, "from_instructions", classmethod(spy))
+    monkeypatch.setattr(st, "length_pass", spy)
     return calls
+
+
+def _dirty_extents(index: DeltaIndex, text: bytes) -> list:
+    return [(s, e) for s, e, digest in index.extents
+            if hashlib.sha256(text[s:e]).digest() != digest]
 
 
 class TestDeltaScan:
@@ -412,45 +420,49 @@ class TestDeltaScan:
         mutated = bytes(mutated)
         scan = delta_scan(index, mutated)
         assert scan is not None
-        assert _tokens(scan.instructions) == _tokens(
-            iter_decode(mutated, 0, len(mutated))
-        )
+        assert_scan_of(scan, mutated)
 
     def test_one_function_edit_redecodes_only_its_extent(
-        self, monkeypatch, demo_instrumented
+        self, demo_instrumented, passes
     ):
+        """The length pass runs over the edited function alone; the clean
+        extents carry the indexed scan's records (decoded or not) and no
+        record is decoded."""
         text, bounds = _demo_text(demo_instrumented.elf)
         index = _index_for(text, bounds)
+        held = index.scan.instructions
+        held[len(held) // 2]  # one record of the indexed scan was read
         target = _first_mov_imm32(text)
         mutated = bytearray(text)
         mutated[target.offset + target.length - 1] ^= 0x5A
-        decoded = []
-
-        def spy(code, start=0, end=None):
-            decoded.append((start, end))
-            return iter_decode(code, start, end)
-
-        monkeypatch.setattr(st, "iter_decode", spy)
-        assert delta_scan(index, bytes(mutated)) is not None
+        scan = delta_scan(index, bytes(mutated))
+        assert scan is not None
         edges = sorted({0, *bounds, len(text)})
         k = bisect_right(edges, target.offset) - 1
-        assert decoded == [(edges[k], edges[k + 1])]
+        assert passes == [(edges[k], edges[k + 1])]
+        first, last = (scan.by_offset[edges[k]],
+                       scan.by_offset.get(edges[k + 1], len(held)))
+        carried = scan.instructions.decoded()
+        indexed = held.decoded()
+        assert carried[:first] == indexed[:first]
+        assert carried[last:] == indexed[last:]
+        assert carried[first:last] == [None] * (last - first)
+        assert sum(r is not None for r in carried) == 1
 
     def test_splice_matches_full_decode_under_seeded_edits(
-        self, demo_instrumented, prescans
+        self, demo_instrumented
     ):
-        """Oracle: whenever ``delta_scan`` returns a scan, every artifact
-        equals a full decode's, whether it patched the indexed artifacts
-        or ran the prescan again, and it never returns one for a text
-        whose full decode raises."""
+        """Oracle: whenever ``delta_scan`` returns a scan, every column and
+        record equals a full decode's, whether the dirty extents kept
+        their instruction counts (indices unshifted) or not, and it never
+        returns one for a text whose full decode raises."""
         text, bounds = _demo_text(demo_instrumented.elf)
         index = _index_for(text, bounds)
-        insns = index.scan.instructions
+        insns = decode_all(text)
         rng = random.Random(20261019)
-        patched = rebuilt = fell_back = 0
+        same_count = shifted = fell_back = 0
         for trial in range(300):
             edited = _seeded_edit(text, insns, rng)
-            before = len(prescans)
             scan = delta_scan(index, edited)
             try:
                 full = decode_all(edited)
@@ -461,57 +473,55 @@ class TestDeltaScan:
             if scan is None:
                 fell_back += 1
                 continue
-            if len(prescans) == before:
-                patched += 1
+            if len(full) == len(insns):
+                same_count += 1
             else:
-                rebuilt += 1
-            oracle = StreamScan.from_instructions(edited, full)
-            for name in SCAN_FIELDS:
-                assert getattr(scan, name) == getattr(oracle, name), (
-                    trial, name)
+                shifted += 1
+            assert_scan_of(scan, edited)
         # every outcome is exercised, not just some of them
-        assert patched >= 50 and rebuilt >= 50 and fell_back >= 50, (
-            patched, rebuilt, fell_back)
+        assert same_count >= 50 and shifted >= 50 and fell_back >= 50, (
+            same_count, shifted, fell_back)
 
     def test_perfbench_edit_patches_without_a_prescan(
-        self, demo_instrumented, prescans
+        self, demo_instrumented, passes
     ):
+        """No pass over the whole text: only the edited extent is
+        scanned, and the splice equals a full decode."""
         text, bounds = _demo_text(demo_instrumented.elf)
         index = _index_for(text, bounds)
         mutated = _perfbench_edit(text)
-        del prescans[:]
         scan = delta_scan(index, mutated)
-        assert prescans == []
-        oracle = StreamScan.from_instructions(mutated, decode_all(mutated))
-        for name in SCAN_FIELDS:
-            assert getattr(scan, name) == getattr(oracle, name), name
+        assert passes == _dirty_extents(index, mutated)
+        assert len(passes) == 1
+        assert_scan_of(scan, mutated)
 
-    def test_patch_leaves_the_indexed_scan_untouched(
-        self, demo_instrumented, prescans
-    ):
-        """The entry keeps its scan when the patched one is not adopted,
-        so patching works on copies."""
+    def test_patch_leaves_the_indexed_scan_untouched(self, demo_instrumented):
+        """The entry keeps its scan when the spliced one is not adopted,
+        so splicing works on copies."""
         text, bounds = _demo_text(demo_instrumented.elf)
         index = _index_for(text, bounds)
         indexed = index.scan
-        objects = {name: getattr(indexed, name) for name in SCAN_FIELDS}
-        snapshot = {name: copy.copy(v) for name, v in objects.items()}
-        del prescans[:]
+        cols = indexed.columns
+        columns = {name: getattr(cols, name)
+                   for name in ("offsets", "kinds", "targets", "bundles")}
+        snapshot = {name: copy.copy(v) for name, v in columns.items()}
+        records = indexed.instructions.decoded()
+        held = list(records)
         scan = delta_scan(index, _perfbench_edit(text))
-        assert prescans == [] and scan is not indexed
-        assert index.scan is indexed
-        for name in SCAN_FIELDS:
-            assert getattr(indexed, name) is objects[name], name
-            assert getattr(indexed, name) == snapshot[name], name
-            if isinstance(snapshot[name], (list, dict)):
-                assert getattr(scan, name) is not objects[name], name
+        assert scan is not indexed and index.scan is indexed
+        assert indexed.columns is cols and indexed.code == text
+        assert indexed.instructions.decoded() is records and records == held
+        for name, value in columns.items():
+            assert getattr(cols, name) is value, name
+            assert value == snapshot[name], name
+            assert getattr(scan.columns, name) is not value, name
 
-    def test_bundle_violation_in_a_dirty_extent_rebuilds(
-        self, demo_instrumented, prescans
+    def test_bundle_violation_removed_from_a_dirty_extent_reveals_the_next(
+        self, demo_instrumented, passes
     ):
-        """The indexed scan records only its first bundle violation.  When
-        the update removes it, the next one may lie in a clean extent, so
-        only a full prescan can find it."""
+        """The columns record every bundle offender.  When the update
+        removes the first one, the splice carries the next one over from
+        the clean extent it lies in, without scanning that extent."""
         text, bounds = _demo_text(demo_instrumented.elf)
         insns = decode_all(text)
         edges = sorted({0, *bounds, len(text)})
@@ -519,14 +529,13 @@ class TestDeltaScan:
         both, first = _plant_bundle_violation(later, insns)
         assert bisect_right(edges, first) < bisect_right(edges, second)
         index = _index_for(both, bounds)
-        assert index.scan.bundle_violation[0] == first
-        del prescans[:]
+        offenders = index.scan.columns.bundles
+        assert index.scan.columns.offsets[offenders[0]] == first
         scan = delta_scan(index, later)  # the first plant undone
-        assert prescans == [later]
-        oracle = StreamScan.from_instructions(later, decode_all(later))
-        assert oracle.bundle_violation[0] == second
-        for name in SCAN_FIELDS:
-            assert getattr(scan, name) == getattr(oracle, name), name
+        assert passes == _dirty_extents(index, later)
+        assert all(not s <= second < e for s, e in passes)
+        assert scan.columns.offsets[scan.columns.bundles[0]] == second
+        assert_scan_of(scan, later)
 
     def test_extent_edge_inside_an_instruction_falls_back(
         self, demo_instrumented

@@ -183,8 +183,9 @@ class TestCmovXchgDecode:
 
 
 class TestStreamDecoder:
-    """Chunk-resumable decode must be indistinguishable from whole-buffer
-    decode — tokens and error text — at every possible split point."""
+    """The chunk-resumable length pass must be indistinguishable from the
+    whole-buffer decode — the records its columns lead to, and the error
+    text — at every possible split point."""
 
     def _code(self) -> bytes:
         from repro.x86 import RAX, RSP
@@ -205,17 +206,22 @@ class TestStreamDecoder:
 
     @staticmethod
     def _stream(code: bytes, splits) -> list:
-        from repro.x86 import StreamDecoder
+        """*code* fed in chunks split at *splits*: the records the streamed
+        columns lead to, after checking the columns against them (branch
+        targets included, which must come out absolute)."""
+        from repro.x86 import InstructionBuffer, StreamDecoder
+        from tests.test_x86_lengths import columns_of, view
 
         dec = StreamDecoder()
-        out = []
         prev = 0
         for cut in splits:
-            out += dec.feed(code[prev:cut])
+            dec.feed(code[prev:cut])
             prev = cut
-        out += dec.feed(code[prev:])
-        out += dec.finish()
-        return out
+        dec.feed(code[prev:])
+        cols = dec.finish()
+        records = list(InstructionBuffer(code, cols.offsets))
+        assert view(cols) == columns_of(records, len(code))
+        return records
 
     @staticmethod
     def _tokens(insns):
@@ -273,10 +279,10 @@ class TestStreamDecoder:
 
         code = Enc.nop(1) * 100
         dec = StreamDecoder()
-        out = dec.feed(code[:50])
-        out += dec.feed(code[50:])
-        out += dec.finish()
-        assert out == decode_all(code)
+        dec.feed(code[:50])
+        dec.feed(code[50:])
+        cols = dec.finish()
+        assert list(cols.offsets) == [i.offset for i in decode_all(code)]
         with pytest.raises(TypeError):
             StreamDecoder().finish(50)
 
@@ -301,21 +307,21 @@ class TestStreamDecoder:
         unit = Enc.mov_imm(0x1122334455667788, RAX)  # 10 bytes
         history = unit * 20_000
         dec = StreamDecoder()
-        out = dec.feed(memoryview(history))
+        dec.feed(memoryview(history))
         tracemalloc.start()
         try:
             worst = 0
             for _ in range(8):
                 tracemalloc.reset_peak()
                 before, _ = tracemalloc.get_traced_memory()
-                out += dec.feed(unit)
+                dec.feed(unit)
                 worst = max(worst, tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
         assert worst < len(history) // 8, worst
         assert dec.buffered == len(history) + 8 * len(unit)
-        assert dec.pos == out[-1].end
-        out += dec.finish()
-        assert self._tokens(out) == self._tokens(
-            decode_all(history + 8 * unit)
-        )
+        assert dec.pos == dec.columns.end
+        cols = dec.finish()
+        assert list(cols.offsets) == [
+            i.offset for i in decode_all(history + 8 * unit)
+        ]

@@ -9,7 +9,8 @@ import pickle
 import pytest
 
 from repro.x86 import (
-    EAX, Enc, Imm, Instruction, Mem, RAX, RCX, RSP, Reg, StreamDecoder,
+    EAX, Enc, Imm, Instruction, InstructionBuffer, Mem, RAX, RCX, RSP, Reg,
+    StreamDecoder,
     decode_all, decode_one,
 )
 
@@ -165,10 +166,10 @@ class TestInterning:
         ) * 4
         whole = decode_all(code)
         decoder = StreamDecoder()  # kept alive through the check below
-        streamed = []
         for cut in range(0, len(code), 7):
-            streamed += decoder.feed(code[cut:cut + 7])
-        streamed += decoder.finish()
+            decoder.feed(code[cut:cut + 7])
+        # an instruction buffer's tables die with the buffer
+        streamed = list(InstructionBuffer(code, decoder.finish().offsets))
         assert streamed == whole
         gc.collect()
         shared = {  # registers come from module-level banks: not interned
